@@ -41,6 +41,8 @@ from .grouporacle import (
     cycle_type,
     cycle_type_data,
     enumerate_tuples,
+    jacobi_trudi,
+    jacobi_trudi_dual,
     permutation_character,
     specht_character,
     specht_generator_rank,
@@ -53,8 +55,6 @@ from .symfunc import (
     basis_element,
     build_kostka_table,
     convert,
-    jacobi_trudi,
-    jacobi_trudi_dual,
     multiply,
     scalar_product,
 )

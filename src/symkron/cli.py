@@ -217,11 +217,9 @@ def cmd_ch(args) -> int:
 def cmd_verify(args) -> int:
     config = verify.RunConfig(
         max_pairs=grouporacle.MAX_ORBIT_PAIRS,
-        max_group=grouporacle.MAX_GROUP_ORDER,
         max_degree=int(
             os.environ.get("SYMKRON_MAX_VERIFY_DEGREE", verify.DEFAULT_MAX_VERIFY_DEGREE)
         ),
-        output_format=args.format,
         seed=args.seed,
     )
     checks = verify.run_verify(args.suite, args.d, config)

@@ -49,8 +49,6 @@ class ContingencyMatrix:
 
     def transpose(self) -> "ContingencyMatrix":
         flipped = tuple(zip(*self.rows)) if self.rows else ((),) * len(self.col_sums)
-        if not self.rows:
-            flipped = tuple(() for _ in self.col_sums)
         return ContingencyMatrix(flipped, self.col_sums, self.row_sums)
 
     def to_json_dict(self) -> dict:

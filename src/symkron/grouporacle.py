@@ -2,7 +2,7 @@
 
 Everything here is computed from first principles on explicit tuples and
 permutations, so it can cross-check the structural rules implemented in
-:mod:`symkron.contingency` and :mod:`symkron.kronecker`:
+:mod:`symkron.contingency`, :mod:`symkron.kronecker` and :mod:`symkron.symfunc`:
 
 * permutation modules are spanned by tuples with a prescribed multiplicity
   of each value, acted on by place permutation from the right;
@@ -11,7 +11,9 @@ permutations, so it can cross-check the structural rules implemented in
   matrix classification instead of assuming it;
 * characters are evaluated on one representative per cycle type, and the
   irreducible characters are recovered from the permutation characters with
-  the inverse tableau-count matrix.
+  the inverse tableau-count matrix;
+* Schur functions are expanded in the h and e bases by the Jacobi-Trudi
+  determinants, which check the Kostka-table conversions of symfunc.
 
 Permutation convention: a permutation of degree d is a tuple of 1-based
 images, composition is ``(sigma tau)(t) = sigma(tau(t))``, and the place
@@ -364,6 +366,39 @@ def characteristic_map(phi: CharacterVector) -> symfunc.SymFunc:
         rho: Fraction(value, data.centralizer_order[rho]) for rho, value in phi.items()
     }
     return symfunc.SymFunc("p", phi.degree, terms)
+
+
+# -- Jacobi-Trudi determinants ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _det_expansion(parts: tuple[int, ...]) -> dict[Partition, int]:
+    """Signed expansion of ``det(x_{parts[i] - i + j})`` with x_0 = 1, x_{<0} = 0.
+
+    Each permutation contributes its sign on the sorted tuple of positive
+    indices; the result maps partitions to integer coefficients.
+    """
+    n = len(parts)
+    acc: dict[Partition, int] = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        idx = [parts[i] - i + perm[i] - 1 for i in range(n)]
+        if any(k < 0 for k in idx):
+            continue
+        key = Partition(sorted((k for k in idx if k > 0), reverse=True))
+        acc[key] = acc.get(key, 0) + perm_sign(perm)
+    return {k: v for k, v in acc.items() if v}
+
+
+def jacobi_trudi(lam: Iterable[int]) -> symfunc.SymFunc:
+    """Schur function as the signed determinant expansion in the h basis."""
+    lam = Partition(lam)
+    return symfunc.SymFunc("h", lam.degree, _det_expansion(tuple(lam)))
+
+
+def jacobi_trudi_dual(lam: Iterable[int]) -> symfunc.SymFunc:
+    """Schur function as the conjugate-shape determinant in the e basis."""
+    lam = Partition(lam)
+    return symfunc.SymFunc("e", lam.degree, _det_expansion(tuple(conjugate(lam))))
 
 
 # -- explicit Specht generators -----------------------------------------------

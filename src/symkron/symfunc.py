@@ -4,13 +4,15 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis:
 
-* ``h -> s`` by the tableau-count (Kostka) matrix, ``s -> h`` by the
-  shape-determinant expansion in complete functions;
-* ``m <-> s`` by the Kostka matrix and its exact integer inverse;
-* ``e -> s`` by expanding each ``e_k`` as the single-column determinant and
-  multiplying in the ``h`` basis, ``s -> e`` by inverting the resulting
-  integer matrix once per degree;
+* ``h -> s`` by the columns of the tableau-count (Kostka) matrix, ``s -> h``
+  by the columns of its exact integer inverse;
+* ``m <-> s`` by the rows of the Kostka matrix and of its inverse;
+* ``e <-> s`` by the ``h`` tables composed with the involution omega, which
+  swaps ``h`` and ``e`` and conjugates Schur indices;
 * ``p <-> s`` by the symmetric-group character table.
+
+The Jacobi-Trudi determinants, a second route to the same tables, live in
+:mod:`symkron.grouporacle` as a check.
 
 Coefficients are `fractions.Fraction` throughout; integrality is asserted
 where the theory demands it instead of being assumed.  SymFunc values are
@@ -19,7 +21,6 @@ immutable; per-degree tables are built once and then only read.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -212,82 +213,10 @@ def build_kostka_table(d: int) -> KostkaTable:
     return KostkaTable(d)
 
 
-def _parity(perm: tuple[int, ...]) -> int:
-    """Sign of a permutation of 0..n-1 given as a tuple of images."""
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-@lru_cache(maxsize=None)
-def _det_expansion(parts: tuple[int, ...]) -> dict[Partition, int]:
-    """Signed expansion of ``det(x_{parts[i] - i + j})`` with x_0 = 1, x_{<0} = 0.
-
-    Each permutation contributes its sign on the sorted tuple of positive
-    indices; the result maps partitions to integer coefficients.
-    """
-    n = len(parts)
-    acc: dict[Partition, int] = {}
-    for perm in itertools.permutations(range(n)):
-        idx = [parts[i] - i + perm[i] for i in range(n)]
-        if any(k < 0 for k in idx):
-            continue
-        key = Partition(sorted((k for k in idx if k > 0), reverse=True))
-        acc[key] = acc.get(key, 0) + _parity(perm)
-    return {k: v for k, v in acc.items() if v}
-
-
-def jacobi_trudi(lam: Iterable[int]) -> SymFunc:
-    """Schur function as the signed determinant expansion in the h basis."""
-    lam = Partition(lam)
-    return SymFunc("h", lam.degree, _det_expansion(tuple(lam)))
-
-
-def jacobi_trudi_dual(lam: Iterable[int]) -> SymFunc:
-    """Schur function as the conjugate-shape determinant in the e basis."""
-    lam = Partition(lam)
-    return SymFunc("e", lam.degree, _det_expansion(tuple(conjugate(lam))))
-
-
 # ---------------------------------------------------------------------------
 # Single-element conversion tables.  Each helper returns a dict mapping
 # partitions to coefficients; callers must treat the returned dicts as
 # read-only since they are cached.
-
-
-def _hmul(a: dict[Partition, int], b: dict[Partition, int]) -> dict[Partition, int]:
-    """Product of two h-basis expansions: concatenate and sort the indices."""
-    out: dict[Partition, int] = {}
-    for lam, x in a.items():
-        for mu, y in b.items():
-            key = Partition(sorted(lam + mu, reverse=True))
-            out[key] = out.get(key, 0) + x * y
-    return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def _e_single_to_h(k: int) -> dict[Partition, int]:
-    # e_k equals the Schur function of a single column of height k.
-    return _det_expansion((1,) * k)
-
-
-@lru_cache(maxsize=None)
-def _e_elem_to_h(mu: Partition) -> dict[Partition, int]:
-    acc: dict[Partition, int] = {Partition(): 1}
-    for k in mu:
-        acc = _hmul(acc, _e_single_to_h(k))
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -302,12 +231,23 @@ def _h_elem_to_s(lam: Partition) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
+def _s_elem_to_h(lam: Partition) -> dict[Partition, int]:
+    table = build_kostka_table(lam.degree)
+    col = table.index[lam]
+    return {
+        mu: table.inverse[i][col]
+        for i, mu in enumerate(table.partitions)
+        if table.inverse[i][col]
+    }
+
+
+@lru_cache(maxsize=None)
 def _e_elem_to_s(mu: Partition) -> dict[Partition, int]:
-    acc: dict[Partition, int] = {}
-    for lam, c in _e_elem_to_h(mu).items():
-        for nu, k in _h_elem_to_s(lam).items():
-            acc[nu] = acc.get(nu, 0) + c * k
-    return {k: v for k, v in acc.items() if v}
+    return {conjugate(nu): c for nu, c in _h_elem_to_s(mu).items()}
+
+
+def _s_elem_to_e(lam: Partition) -> dict[Partition, int]:
+    return _s_elem_to_h(conjugate(lam))
 
 
 @lru_cache(maxsize=None)
@@ -330,52 +270,6 @@ def _s_elem_to_m(lam: Partition) -> dict[Partition, int]:
         for j, mu in enumerate(table.partitions)
         if table.matrix[row][j]
     }
-
-
-@lru_cache(maxsize=None)
-def _s_to_e_matrix(d: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the (integer) matrix expanding e elements in the s basis."""
-    parts = enumerate_partitions(d)
-    n = len(parts)
-    index = {p: i for i, p in enumerate(parts)}
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for j, mu in enumerate(parts):
-        for nu, c in _e_elem_to_s(mu).items():
-            mat[index[nu]][j] = Fraction(c)
-    # Gauss-Jordan over exact rationals.
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            raise InternalConsistencyError("e-to-s matrix is singular")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        f = mat[col][col]
-        mat[col] = [v / f for v in mat[col]]
-        inv[col] = [v / f for v in inv[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    out = []
-    for row in inv:
-        ints = []
-        for v in row:
-            if v.denominator != 1:
-                raise InternalConsistencyError("s-to-e coefficients must be integers")
-            ints.append(int(v))
-        out.append(tuple(ints))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _s_elem_to_e(nu: Partition) -> dict[Partition, int]:
-    parts = enumerate_partitions(nu.degree)
-    index = {p: i for i, p in enumerate(parts)}
-    inv = _s_to_e_matrix(nu.degree)
-    col = index[nu]
-    return {mu: inv[i][col] for i, mu in enumerate(parts) if inv[i][col]}
 
 
 def _char_entry(d: int):
@@ -408,12 +302,7 @@ def _s_elem_to_p(lam: Partition) -> dict[Partition, Fraction]:
 
 
 _TO_S = {"m": _m_elem_to_s, "e": _e_elem_to_s, "h": _h_elem_to_s, "p": _p_elem_to_s}
-_FROM_S = {
-    "m": _s_elem_to_m,
-    "e": _s_elem_to_e,
-    "h": lambda lam: _det_expansion(tuple(lam)),
-    "p": _s_elem_to_p,
-}
+_FROM_S = {"m": _s_elem_to_m, "e": _s_elem_to_e, "h": _s_elem_to_h, "p": _s_elem_to_p}
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:

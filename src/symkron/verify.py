@@ -11,7 +11,8 @@ each other and reports one line per degree and identity family.  Suites:
 * ``kostka``: unit diagonal, dominance support, the complete-to-Schur
   transition, and the decomposition of permutation characters.
 * ``jacobi-trudi``: the complete-basis determinant converted to the
-  elementary basis against the conjugate-shape determinant.
+  elementary basis through the Kostka table and omega, against the
+  conjugate-shape determinant.
 * ``all``: every suite above, plus the characteristic-map dictionary,
   isometry, the character route to the internal product, and seeded random
   spot checks of the place action.
@@ -43,16 +44,14 @@ class Check:
 
 @dataclass
 class RunConfig:
-    """Budgets and reporting knobs for the verification suites."""
+    """Budgets and the random seed for the verification suites."""
 
     max_pairs: int = grouporacle.MAX_ORBIT_PAIRS
-    max_group: int = grouporacle.MAX_GROUP_ORDER
     max_degree: int = DEFAULT_MAX_VERIFY_DEGREE
-    output_format: str = "text"
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_pairs <= 0 or self.max_group <= 0 or self.max_degree <= 0:
+        if self.max_pairs <= 0 or self.max_degree <= 0:
             raise ValueError("budget caps must be positive")
 
 
@@ -150,8 +149,8 @@ def suite_jacobi_trudi(d: int, config: RunConfig) -> list[Check]:
     for e in range(d + 1):
         bad = []
         for lam in enumerate_partitions(e):
-            via_pivot = symfunc.convert(symfunc.jacobi_trudi(lam), "e")
-            direct = symfunc.jacobi_trudi_dual(lam)
+            via_pivot = symfunc.convert(grouporacle.jacobi_trudi(lam), "e")
+            direct = grouporacle.jacobi_trudi_dual(lam)
             if via_pivot != direct:
                 bad.append(tuple(lam))
         checks.append(

@@ -21,6 +21,8 @@ from symkron.contingency import decompose_permutation_tensor
 from symkron.grouporacle import (
     character_scalar_product,
     characteristic_map,
+    jacobi_trudi,
+    jacobi_trudi_dual,
     permutation_character,
     specht_character,
     specht_generator_rank,
@@ -31,8 +33,6 @@ from symkron.symfunc import (
     basis_element,
     build_kostka_table,
     convert,
-    jacobi_trudi,
-    jacobi_trudi_dual,
     scalar_product,
 )
 

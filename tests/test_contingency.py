@@ -69,7 +69,7 @@ def test_enumeration_order_is_row_major_descending():
 
 def test_transpose_bijection():
     for d in range(7):
-        margins = [c for n in range(1, 5) for c in enumerate_compositions(n, d)]
+        margins = [c for n in range(5) for c in enumerate_compositions(n, d)]
         for lam, mu in itertools.combinations_with_replacement(margins, 2):
             direct = {m.rows for m in contingency_matrices(mu, lam)}
             flipped = {m.transpose().rows for m in contingency_matrices(lam, mu)}

@@ -4,16 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from symkron import grouporacle, symfunc
 from symkron.combinat import enumerate_partitions
 from symkron.errors import DegreeMismatchError
+from symkron.grouporacle import jacobi_trudi, jacobi_trudi_dual
 from symkron.symfunc import (
     BASES,
     SymFunc,
     basis_element,
     build_kostka_table,
     convert,
-    jacobi_trudi,
-    jacobi_trudi_dual,
     multiply,
     scalar_product,
 )
@@ -95,6 +95,21 @@ def test_jacobi_trudi_matches_schur_conversion():
     for d in range(7):
         for lam in enumerate_partitions(d):
             assert convert(basis_element("s", lam), "h") == jacobi_trudi(lam)
+
+
+def test_conversions_never_reach_the_determinant(monkeypatch):
+    def forbidden(parts):
+        raise AssertionError(f"production conversion reached the determinant for {parts}")
+
+    monkeypatch.setattr(grouporacle, "_det_expansion", forbidden)
+    # Start from empty tables so that no cached entry hides a determinant call.
+    for obj in vars(symfunc).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    for d in range(7):
+        for lam in enumerate_partitions(d):
+            for src, target in itertools.product(BASES, repeat=2):
+                convert(basis_element(src, lam), target)
 
 
 def test_jacobi_trudi_duality():
