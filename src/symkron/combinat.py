@@ -132,9 +132,8 @@ def count_ssyt(shape: Iterable[int], content: Iterable[int]) -> int:
     """Number of semistandard tableaux of the given shape and content.
 
     Fillings place ``content[k-1]`` copies of the entry ``k`` so that rows
-    weakly increase and columns strictly increase.  Computed by peeling the
-    horizontal strip occupied by the largest entry, memoized on the
-    remaining (shape, content) pair.
+    weakly increase and columns strictly increase.  Read off the column of
+    the content in :func:`kostka_column`.
     """
     shape = Partition(shape)
     content = Composition(content)
@@ -142,39 +141,40 @@ def count_ssyt(shape: Iterable[int], content: Iterable[int]) -> int:
         raise DegreeMismatchError(
             f"shape has degree {shape.degree} but content has degree {content.degree}"
         )
-    return _count_fillings(tuple(shape), tuple(content))
+    return kostka_column(tuple(content)).get(shape, 0)
 
 
 @lru_cache(maxsize=None)
-def _count_fillings(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
-    if not content:
-        return 1 if not shape else 0
-    size = content[-1]
-    rest = content[:-1]
-    return sum(_count_fillings(inner, rest) for inner in _strip_removals(shape, size))
+def kostka_column(content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Tableau counts of every shape for one content, as ``{shape: count}``.
 
-
-def _strip_removals(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    """Shapes left after removing a horizontal strip of ``size`` boxes.
-
-    Row ``i`` keeps between ``shape[i+1]`` and ``shape[i]`` boxes so that no
-    two removed boxes share a column and the result is again a partition.
+    The entries equal to ``k`` fill a horizontal strip, so this adds one
+    strip per part (the Pieri rule: it is also ``h_content`` in the s basis).
     """
-    n = len(shape)
+    if not content:
+        return {(): 1}
+    out: dict[tuple[int, ...], int] = {}
+    for shape, count in kostka_column(content[:-1]).items():
+        for outer in _strip_additions(shape, content[-1]):
+            out[outer] = out.get(outer, 0) + count
+    return out
+
+
+def _strip_additions(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
+    """Shapes made by adding ``size`` boxes, no two in one column."""
+    rows = shape + (0,)
     out: list[tuple[int, ...]] = []
 
-    def walk(i: int, removed: int, prefix: tuple[int, ...]) -> None:
-        if removed > size:
-            return
-        if i == n:
-            if removed == size:
+    def walk(i: int, left: int, prefix: tuple[int, ...]) -> None:
+        if i == len(rows):
+            if not left:
                 out.append(tuple(p for p in prefix if p))
             return
-        lo = shape[i + 1] if i + 1 < n else 0
-        for keep in range(shape[i], lo - 1, -1):
-            walk(i + 1, removed + shape[i] - keep, prefix + (keep,))
+        room = rows[i - 1] - rows[i] if i else left
+        for add in range(min(room, left), -1, -1):
+            walk(i + 1, left - add, prefix + (rows[i] + add,))
 
-    walk(0, 0, ())
+    walk(0, size, ())
     return out
 
 

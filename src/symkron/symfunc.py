@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .combinat import Partition, conjugate, count_ssyt, enumerate_partitions
+from .combinat import Partition, conjugate, enumerate_partitions, kostka_column
 from .errors import DegreeMismatchError, InternalConsistencyError
 
 BASES = ("m", "e", "h", "p", "s")
@@ -170,14 +170,14 @@ class KostkaTable:
 
     Rows and columns are indexed by the canonical partition list; the matrix
     is unit upper triangular in that order and its inverse has integer
-    entries.
+    entries.  Column ``mu`` is :func:`symkron.combinat.kostka_column` of ``mu``.
     """
 
     def __init__(self, degree: int):
         parts = enumerate_partitions(degree)
         n = len(parts)
         index = {p: i for i, p in enumerate(parts)}
-        matrix = [[count_ssyt(l, m) for m in parts] for l in parts]
+        matrix = [[kostka_column(m).get(l, 0) for m in parts] for l in parts]
         for i in range(n):
             if matrix[i][i] != 1:
                 raise InternalConsistencyError("tableau-count matrix is not unitriangular")
@@ -190,9 +190,10 @@ class KostkaTable:
             inverse[i][i] = 1
             for j in range(i + 1, n):
                 inverse[i][j] = -sum(matrix[i][k] * inverse[k][j] for k in range(i + 1, j + 1))
-        for i in range(n):
-            for j in range(n):
-                check = sum(matrix[i][k] * inverse[k][j] for k in range(n))
+        inverse_columns = list(zip(*inverse))
+        for i, row in enumerate(matrix):
+            for j, col in enumerate(inverse_columns):
+                check = sum(a * b for a, b in zip(row, col))
                 if check != (1 if i == j else 0):
                     raise InternalConsistencyError("tableau-count inverse failed to verify")
         self.degree = degree
