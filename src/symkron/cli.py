@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import expr, grouporacle, symfunc, verify
@@ -216,9 +215,8 @@ def cmd_ch(args) -> int:
 
 def cmd_verify(args) -> int:
     config = verify.RunConfig(
-        max_pairs=grouporacle.MAX_ORBIT_PAIRS,
-        max_degree=int(
-            os.environ.get("SYMKRON_MAX_VERIFY_DEGREE", verify.DEFAULT_MAX_VERIFY_DEGREE)
+        max_degree=grouporacle.env_cap(
+            "SYMKRON_MAX_VERIFY_DEGREE", verify.DEFAULT_MAX_VERIFY_DEGREE
         ),
         seed=args.seed,
     )

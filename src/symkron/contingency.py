@@ -3,7 +3,9 @@
 These matrices index the decomposition of a tensor product of permutation
 modules: every matrix with row sums ``lam`` and column sums ``mu``
 contributes one transitive summand, whose class is the matrix read
-row-major as a composition and sorted to a partition.
+row-major as a composition and sorted to a partition.  The decomposition
+itself is counted row by row, like ``hom_dimension``, and never builds a
+matrix; only the listing materializes them.
 
 Enumeration order is canonical and documented: matrices are produced in
 lexicographically descending order of their row-major entry vector, so
@@ -12,7 +14,6 @@ output is byte-stable across runs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -114,12 +115,32 @@ def decompose_permutation_tensor(lam: Iterable[int], mu: Iterable[int]) -> dict[
 
     Each margin matrix contributes its row-major composition, sorted to a
     partition; the result maps each class to its multiplicity, keys in
-    canonical partition order.
+    canonical partition order.  The matrices only index the summands: the
+    classes are counted row by row, memoized on the remaining row sums and
+    the sorted column budgets, without building any matrix.
     """
-    counts = Counter(
-        sort_to_partition(m.as_composition()) for m in contingency_matrices(lam, mu)
-    )
-    return {p: counts[p] for p in sorted(counts, reverse=True)}
+    lam, mu = _check_degrees(lam, mu)
+    counts = _count_classes(sort_to_partition(lam), sort_to_partition(mu))
+    return {Partition(p): counts[p] for p in sorted(counts, reverse=True)}
+
+
+@lru_cache(maxsize=None)
+def _count_classes(
+    row_sums: tuple[int, ...], budgets: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    # Permuting rows or columns, or dropping zero ones, keeps the class
+    # multiset, so both margins arrive sorted without zeros.  The cached dict
+    # is shared: read it, never hand it out.
+    if not row_sums:
+        return {(): 1}
+    out: dict[tuple[int, ...], int] = {}
+    for row in _bounded_compositions(row_sums[0], budgets):
+        rest = tuple(sorted((b - r for b, r in zip(budgets, row) if b > r), reverse=True))
+        entries = tuple(r for r in row if r)
+        for cls, mult in _count_classes(row_sums[1:], rest).items():
+            key = tuple(sorted(cls + entries, reverse=True))
+            out[key] = out.get(key, 0) + mult
+    return out
 
 
 def hom_dimension(lam: Iterable[int], mu: Iterable[int]) -> int:

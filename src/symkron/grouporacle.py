@@ -21,8 +21,9 @@ action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 ``act(tau, act(sigma, i)) == act(compose(sigma, tau), i)``.
 
 Orbit enumeration and rank computation refuse inputs beyond configurable
-caps (environment overrides ``SYMKRON_MAX_PAIRS`` and ``SYMKRON_MAX_GROUP``);
-this layer exists for desk-scale verification, not production counting.
+caps (environment overrides ``SYMKRON_MAX_PAIRS`` and ``SYMKRON_MAX_GROUP``,
+read at each call by :func:`env_cap`); this layer exists for desk-scale
+verification, not production counting.
 """
 
 from __future__ import annotations
@@ -47,11 +48,29 @@ from .combinat import (
 )
 from .errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 
-MAX_ORBIT_PAIRS = int(os.environ.get("SYMKRON_MAX_PAIRS", "200000"))
-MAX_GROUP_ORDER = int(os.environ.get("SYMKRON_MAX_GROUP", str(math.factorial(8))))
+DEFAULT_MAX_ORBIT_PAIRS = 200000
+DEFAULT_MAX_GROUP_ORDER = math.factorial(8)
 
 IndexTuple = tuple[int, ...]
 Perm = tuple[int, ...]
+
+
+def env_cap(name: str, default: int) -> int:
+    """Budget cap from the environment variable ``name``, or ``default`` if unset.
+
+    Raises ``ValueError`` naming the variable unless its value is a positive
+    integer.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 # -- permutations ------------------------------------------------------------
@@ -172,7 +191,7 @@ def tensor_orbit_decompose(
             f"margins have different totals: {lam.degree} and {mu.degree}"
         )
     d = lam.degree
-    cap = MAX_ORBIT_PAIRS if max_pairs is None else max_pairs
+    cap = env_cap("SYMKRON_MAX_PAIRS", DEFAULT_MAX_ORBIT_PAIRS) if max_pairs is None else max_pairs
     n_pairs = multinomial(d, lam) * multinomial(d, mu)
     if n_pairs > cap:
         raise BudgetExceededError(
@@ -439,7 +458,7 @@ def specht_generator_rank(lam: Iterable[int], *, max_group: int | None = None) -
     """
     lam = Partition(lam)
     d = lam.degree
-    cap = MAX_GROUP_ORDER if max_group is None else max_group
+    cap = env_cap("SYMKRON_MAX_GROUP", DEFAULT_MAX_GROUP_ORDER) if max_group is None else max_group
     if math.factorial(d) > cap:
         raise BudgetExceededError(f"group order {math.factorial(d)} exceeds the cap of {cap}")
     base = _column_word(lam)

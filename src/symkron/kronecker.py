@@ -47,8 +47,9 @@ def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
     acc: dict[Partition, Fraction] = {}
     for lam, a in fh.terms.items():
         for mu, b in gh.terms.items():
+            ab = a * b
             for nu, m in _kronecker_h(lam, mu).terms.items():
-                acc[nu] = acc.get(nu, Fraction(0)) + a * b * m
+                acc[nu] = acc.get(nu, Fraction(0)) + ab * m
     return symfunc.convert(symfunc.SymFunc("h", f.degree, acc), f.basis)
 
 

@@ -21,7 +21,7 @@ each other and reports one line per degree and identity family.  Suites:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import grouporacle, symfunc
@@ -46,7 +46,11 @@ class Check:
 class RunConfig:
     """Budgets and the random seed for the verification suites."""
 
-    max_pairs: int = grouporacle.MAX_ORBIT_PAIRS
+    max_pairs: int = field(
+        default_factory=lambda: grouporacle.env_cap(
+            "SYMKRON_MAX_PAIRS", grouporacle.DEFAULT_MAX_ORBIT_PAIRS
+        )
+    )
     max_degree: int = DEFAULT_MAX_VERIFY_DEGREE
     seed: int = 0
 

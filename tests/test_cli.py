@@ -1,6 +1,12 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from symkron.cli import main
+from symkron.errors import BudgetExceededError
+from symkron.grouporacle import specht_generator_rank
 from symkron.symfunc import SymFunc
 
 
@@ -181,3 +187,43 @@ def test_exit_codes(capsys):
 def test_degree_mismatch_margins(capsys):
     code, _, err = run_cli(capsys, "decompose-perm", "--lambda", "2,1", "--mu", "1,1")
     assert code == 2 and "totals" in err
+
+
+BUDGET_COMMANDS = {
+    "SYMKRON_MAX_PAIRS": ["decompose-perm", "--lambda", "2,1", "--mu", "1,1,1", "--oracle"],
+    "SYMKRON_MAX_VERIFY_DEGREE": ["verify", "--suite", "kostka", "--d", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_COMMANDS))
+@pytest.mark.parametrize("value", ["x", "0", "-5", ""])
+def test_malformed_budget_variable_exits_2(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *BUDGET_COMMANDS[name])
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be a positive integer, got {value!r}\n"
+
+
+def test_budget_variables_apply_when_valid(capsys, monkeypatch):
+    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "17")
+    code, _, err = run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_PAIRS"])
+    assert code == 3 and "18 basis pairs exceed the cap of 17" in err
+    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "18")
+    assert run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_PAIRS"])[0] == 0
+    monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "2")
+    code, _, err = run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_VERIFY_DEGREE"])
+    assert code == 3 and "cap of 2" in err
+    monkeypatch.setenv("SYMKRON_MAX_GROUP", "5")
+    with pytest.raises(BudgetExceededError, match="cap of 5"):
+        specht_generator_rank((2, 1))
+
+
+def test_malformed_budget_variables_do_not_break_import(monkeypatch):
+    for name in ("SYMKRON_MAX_PAIRS", "SYMKRON_MAX_GROUP", "SYMKRON_MAX_VERIFY_DEGREE"):
+        monkeypatch.setenv(name, "x")
+    argv = [sys.executable, "-m", "symkron.cli", "partitions", "--d", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n1,1\n", "")
+    # No command reads SYMKRON_MAX_GROUP; the library call that does names it.
+    with pytest.raises(ValueError, match="^SYMKRON_MAX_GROUP must be a positive integer, got 'x'$"):
+        specht_generator_rank((2, 1))

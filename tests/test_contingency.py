@@ -1,7 +1,10 @@
+import importlib
 import itertools
+from collections import Counter
 
 import pytest
 
+from symkron import contingency
 from symkron.combinat import enumerate_compositions, enumerate_partitions, multinomial
 from symkron.contingency import (
     ContingencyMatrix,
@@ -10,8 +13,12 @@ from symkron.contingency import (
     hom_dimension,
 )
 from symkron.errors import DegreeMismatchError
+from symkron.symfunc import basis_element
 
 from oracles import brute_contingency
+
+# The package re-exports the function ``kronecker`` under the submodule's name.
+kronecker = importlib.import_module("symkron.kronecker")
 
 
 def test_worked_example_matrices_and_order():
@@ -110,6 +117,63 @@ def test_decompose_symmetry_and_margin_sorting():
             assert decompose_permutation_tensor(lam, mu) == decompose_permutation_tensor(
                 sort_to_partition(lam), sort_to_partition(mu)
             )
+
+
+def _brute_decompose(lam, mu):
+    return Counter(
+        tuple(sorted((v for row in rows for v in row if v), reverse=True))
+        for rows in brute_contingency(lam, mu)
+    )
+
+
+def test_decompose_matches_brute_force_matrices():
+    pairs = []
+    for d in range(5):
+        margins = [c for n in range(1, 4) for c in enumerate_compositions(n, d)]
+        pairs.extend(itertools.product(margins, repeat=2))
+    for d in range(7):
+        pairs.extend(itertools.product(enumerate_partitions(d), repeat=2))
+    for lam, mu in pairs:
+        got = decompose_permutation_tensor(lam, mu)
+        assert got == _brute_decompose(lam, mu)
+        assert list(got) == sorted(got, reverse=True)
+
+
+def test_decompose_total_is_hom_dimension():
+    for d in range(9):
+        for lam, mu in itertools.product(enumerate_partitions(d), repeat=2):
+            assert sum(decompose_permutation_tensor(lam, mu).values()) == hom_dimension(lam, mu)
+
+
+def test_kronecker_table_never_materializes_matrices(monkeypatch):
+    parts = enumerate_partitions(6)
+
+    def table():
+        return {
+            (lam, mu): kronecker.kronecker(basis_element("s", lam), basis_element("s", mu))
+            for lam, mu in itertools.product(parts, repeat=2)
+        }
+
+    expected = table()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("margin matrices materialized")
+
+    monkeypatch.setattr(contingency, "contingency_matrices", refuse)
+    monkeypatch.setattr(ContingencyMatrix, "__init__", refuse)
+    contingency._count_classes.cache_clear()
+    kronecker._kronecker_h.cache_clear()
+    assert table() == expected
+
+
+def test_decompose_returns_a_fresh_dict():
+    first = decompose_permutation_tensor((2, 1, 1), (2, 2))
+    expected = dict(first)
+    first[(4,)] = 7
+    first[(2, 1, 1)] = 0
+    del first[(1, 1, 1, 1)]
+    assert decompose_permutation_tensor((2, 1, 1), (2, 2)) == expected
+    assert decompose_permutation_tensor((1, 2, 1), (2, 0, 2)) == expected
 
 
 def test_dimension_count_is_conserved():
