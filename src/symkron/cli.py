@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 budget exceeded.  Every command accepts ``--format text|json``.
 Budget defaults can be overridden with the environment variables
-``SYMKRON_MAX_PAIRS``, ``SYMKRON_MAX_GROUP`` and ``SYMKRON_MAX_VERIFY_DEGREE``.
+``SYMKRON_MAX_PAIRS`` and ``SYMKRON_MAX_VERIFY_DEGREE``.
 """
 
 from __future__ import annotations

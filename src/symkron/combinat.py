@@ -18,6 +18,7 @@ are write-once and safe to share between threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -183,6 +184,15 @@ def count_standard_tableaux(lam: Partition) -> int:
     """Number of standard tableaux of the given shape."""
     lam = Partition(lam)
     return count_ssyt(lam, (1,) * lam.degree)
+
+
+def centralizer_order(rho: Iterable[int]) -> int:
+    """Centralizer order ``z_rho``: the product of ``k**m * m!`` over the parts
+    ``k`` of ``rho`` that occur ``m`` times."""
+    z = 1
+    for k, m in Counter(Partition(rho)).items():
+        z *= k**m * math.factorial(m)
+    return z
 
 
 def multinomial(d: int, parts: Iterable[int]) -> int:

@@ -10,8 +10,8 @@ permutations, so it can cross-check the structural rules implemented in
   orbits of basis pairs, and each orbit is checked against the value-overlap
   matrix classification instead of assuming it;
 * characters are evaluated on one representative per cycle type, and the
-  irreducible characters are recovered from the permutation characters with
-  the inverse tableau-count matrix;
+  irreducible characters are recovered from the permutation characters by
+  Gram-Schmidt, which checks the Murnaghan-Nakayama characters of symfunc;
 * Schur functions are expanded in the h and e bases by the Jacobi-Trudi
   determinants, which check the Kostka-table conversions of symfunc.
 
@@ -20,10 +20,10 @@ images, composition is ``(sigma tau)(t) = sigma(tau(t))``, and the place
 action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 ``act(tau, act(sigma, i)) == act(compose(sigma, tau), i)``.
 
-Orbit enumeration and rank computation refuse inputs beyond configurable
-caps (environment overrides ``SYMKRON_MAX_PAIRS`` and ``SYMKRON_MAX_GROUP``,
-read at each call by :func:`env_cap`); this layer exists for desk-scale
-verification, not production counting.
+Orbit enumeration refuses inputs beyond a configurable cap (environment
+override ``SYMKRON_MAX_PAIRS``, read at each call by :func:`env_cap`), and
+rank computation beyond its ``max_group`` argument (default 8!); this layer
+exists for desk-scale verification, not production counting.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from . import symfunc
 from .combinat import (
     Composition,
     Partition,
+    centralizer_order,
     conjugate,
     enumerate_partitions,
     multinomial,
@@ -299,12 +300,8 @@ def cycle_type_data(d: int) -> CycleTypeData:
     class_size = {}
     centralizer = {}
     for rho in enumerate_partitions(d):
-        mult = Counter(rho)
-        z = 1
-        for k, m in mult.items():
-            z *= k**m * math.factorial(m)
-        centralizer[rho] = z
-        class_size[rho] = math.factorial(d) // z
+        centralizer[rho] = centralizer_order(rho)
+        class_size[rho] = math.factorial(d) // centralizer[rho]
     if sum(class_size.values()) != math.factorial(d):
         raise InternalConsistencyError("class sizes do not partition the group")
     return CycleTypeData(d, class_size, centralizer)
@@ -347,31 +344,34 @@ def character_scalar_product(phi: CharacterVector, psi: CharacterVector) -> Frac
 def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     """Irreducible characters, rows and columns in canonical partition order.
 
-    Row ``lam`` is recovered by applying the inverse tableau-count matrix to
-    the permutation characters, which decompose as nonnegative sums of the
-    irreducibles with tableau-count multiplicities.
+    Gram-Schmidt over the permutation characters in canonical order: that of
+    ``mu`` is the irreducible of ``mu`` plus multiples of earlier rows (the
+    partitions dominating ``mu``), so subtracting its projections onto them
+    leaves the next row, which must have norm 1 and a positive degree.
     """
     parts = enumerate_partitions(d)
-    table = symfunc.build_kostka_table(d)
-    perm_rows = [[_perm_char(Composition(mu))(rho) for rho in parts] for mu in parts]
-    out = []
-    for li, lam in enumerate(parts):
-        row = []
-        for rj in range(len(parts)):
-            val = sum(
-                table.inverse[mi][li] * perm_rows[mi][rj] for mi in range(len(parts))
-            )
-            row.append(val)
-        out.append(tuple(row))
-    return tuple(out)
+    sizes = [cycle_type_data(d).class_size[rho] for rho in parts]
+    order = math.factorial(d)
+    rows: list[tuple[int, ...]] = []
+    for mu in parts:
+        perm = permutation_character(mu).values.values()
+        row = list(perm)
+        for chi in rows:
+            mult, rest = divmod(sum(z * a * b for z, a, b in zip(sizes, perm, chi)), order)
+            if rest:
+                raise InternalConsistencyError(f"fractional multiplicity in {tuple(mu)}")
+            row = [a - mult * b for a, b in zip(row, chi)]
+        if sum(z * a * a for z, a in zip(sizes, row)) != order or row[-1] <= 0:
+            raise InternalConsistencyError(f"row {tuple(mu)} is not an irreducible character")
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def specht_character(lam: Iterable[int]) -> CharacterVector:
-    """Irreducible character attached to a partition."""
+    """Irreducible character attached to a partition (Murnaghan-Nakayama rule)."""
     lam = Partition(lam)
     parts = enumerate_partitions(lam.degree)
-    row = character_table(lam.degree)[parts.index(lam)]
-    return CharacterVector(lam.degree, dict(zip(parts, row)))
+    return CharacterVector(lam.degree, {rho: symfunc.character_value(lam, rho) for rho in parts})
 
 
 def characteristic_map(phi: CharacterVector) -> symfunc.SymFunc:
@@ -449,7 +449,7 @@ def _young_subgroup_signed(block_sizes: tuple[int, ...], d: int):
         yield tuple(images), sign
 
 
-def specht_generator_rank(lam: Iterable[int], *, max_group: int | None = None) -> int:
+def specht_generator_rank(lam: Iterable[int], *, max_group: int = DEFAULT_MAX_GROUP_ORDER) -> int:
     """Rank of the span of the orbit of the signed column-symmetrized tuple.
 
     Builds the alternating sum over the column Young subgroup applied to the
@@ -458,9 +458,8 @@ def specht_generator_rank(lam: Iterable[int], *, max_group: int | None = None) -
     """
     lam = Partition(lam)
     d = lam.degree
-    cap = env_cap("SYMKRON_MAX_GROUP", DEFAULT_MAX_GROUP_ORDER) if max_group is None else max_group
-    if math.factorial(d) > cap:
-        raise BudgetExceededError(f"group order {math.factorial(d)} exceeds the cap of {cap}")
+    if math.factorial(d) > max_group:
+        raise BudgetExceededError(f"group order {math.factorial(d)} exceeds the cap of {max_group}")
     base = _column_word(lam)
     generator: dict[IndexTuple, int] = {}
     for sigma, sign in _young_subgroup_signed(tuple(conjugate(lam)), d):

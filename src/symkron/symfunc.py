@@ -9,10 +9,11 @@ routed through the Schur basis:
 * ``m <-> s`` by the rows of the Kostka matrix and of its inverse;
 * ``e <-> s`` by the ``h`` tables composed with the involution omega, which
   swaps ``h`` and ``e`` and conjugates Schur indices;
-* ``p <-> s`` by the symmetric-group character table.
+* ``p <-> s`` by the irreducible characters of the symmetric group, which
+  :func:`character_value` computes by the Murnaghan-Nakayama rule.
 
-The Jacobi-Trudi determinants, a second route to the same tables, live in
-:mod:`symkron.grouporacle` as a check.
+The Jacobi-Trudi determinants and the brute-force character table, second
+routes to the same tables, live in :mod:`symkron.grouporacle` as checks.
 
 Coefficients are `fractions.Fraction` throughout; integrality is asserted
 where the theory demands it instead of being assumed.  SymFunc values are
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .combinat import Partition, conjugate, enumerate_partitions, kostka_column
+from .combinat import Partition, centralizer_order, conjugate, enumerate_partitions, kostka_column
 from .errors import DegreeMismatchError, InternalConsistencyError
 
 BASES = ("m", "e", "h", "p", "s")
@@ -273,33 +274,51 @@ def _s_elem_to_m(lam: Partition) -> dict[Partition, int]:
     }
 
 
-def _char_entry(d: int):
-    from . import grouporacle
+@lru_cache(maxsize=None)
+def character_value(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Irreducible character of the partition ``lam`` at the cycle type ``rho``.
 
-    return grouporacle.character_table(d), enumerate_partitions(d)
+    Murnaghan-Nakayama rule: removing a border strip of length ``k = rho[0]``
+    from ``lam`` moves one bead of its beta set (``lam[i] + n - 1 - i`` for
+    ``n`` parts) down ``k`` places onto a free place, with the sign of the
+    parity of the beads jumped over; the rest of ``rho`` is evaluated on
+    what remains.
+    """
+    if sum(lam) != sum(rho):
+        raise DegreeMismatchError(f"shape {lam} and cycle type {rho} differ in degree")
+    if not rho:
+        return 1
+    k, rest = rho[0], rho[1:]
+    n = len(lam)
+    beads = [p + n - 1 - i for i, p in enumerate(lam)]
+    total = 0
+    for i, b in enumerate(beads):
+        if b < k or b - k in beads:
+            continue
+        jumped = sum(1 for c in beads if b - k < c < b)
+        moved = sorted(beads[:i] + [b - k] + beads[i + 1 :], reverse=True)
+        shape = tuple(p for p in (c - (n - 1 - j) for j, c in enumerate(moved)) if p)
+        value = character_value(shape, rest)
+        total += -value if jumped % 2 else value
+    return total
 
 
 @lru_cache(maxsize=None)
 def _p_elem_to_s(rho: Partition) -> dict[Partition, int]:
-    table, parts = _char_entry(rho.degree)
-    index = {p: i for i, p in enumerate(parts)}
-    col = index[rho]
-    return {lam: table[i][col] for i, lam in enumerate(parts) if table[i][col]}
+    return {
+        lam: chi
+        for lam in enumerate_partitions(rho.degree)
+        if (chi := character_value(lam, rho))
+    }
 
 
 @lru_cache(maxsize=None)
 def _s_elem_to_p(lam: Partition) -> dict[Partition, Fraction]:
-    from . import grouporacle
-
-    table, parts = _char_entry(lam.degree)
-    data = grouporacle.cycle_type_data(lam.degree)
-    index = {p: i for i, p in enumerate(parts)}
-    row = index[lam]
-    out = {}
-    for j, rho in enumerate(parts):
-        if table[row][j]:
-            out[rho] = Fraction(table[row][j], data.centralizer_order[rho])
-    return out
+    return {
+        rho: Fraction(chi, centralizer_order(rho))
+        for rho in enumerate_partitions(lam.degree)
+        if (chi := character_value(lam, rho))
+    }
 
 
 _TO_S = {"m": _m_elem_to_s, "e": _e_elem_to_s, "h": _h_elem_to_s, "p": _p_elem_to_s}

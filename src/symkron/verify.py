@@ -9,7 +9,9 @@ each other and reports one line per degree and identity family.  Suites:
 * ``orthonormality``: Schur elements pair to the identity matrix; complete
   and monomial elements are dual.
 * ``kostka``: unit diagonal, dominance support, the complete-to-Schur
-  transition, and the decomposition of permutation characters.
+  transition, the brute-force character table against the
+  Murnaghan-Nakayama characters, and the decomposition of permutation
+  characters.
 * ``jacobi-trudi``: the complete-basis determinant converted to the
   elementary basis through the Kostka table and omega, against the
   conjugate-shape determinant.
@@ -129,6 +131,9 @@ def suite_kostka(d: int, config: RunConfig) -> list[Check]:
             for mu in table.partitions:
                 if in_s.coeff(mu) != table.kostka(mu, lam):
                     bad.append(("h-to-s", tuple(lam), tuple(mu)))
+        for lam, row in zip(table.partitions, grouporacle.character_table(e)):
+            if list(row) != [symfunc.character_value(lam, rho) for rho in table.partitions]:
+                bad.append(("character-table", tuple(lam)))
         for mu in table.partitions:
             perm = grouporacle.permutation_character(mu)
             for rho in table.partitions:

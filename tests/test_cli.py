@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from symkron import grouporacle
 from symkron.cli import main
 from symkron.errors import BudgetExceededError
 from symkron.grouporacle import specht_generator_rank
@@ -161,6 +162,16 @@ def test_verify_command(capsys):
     assert data["passed"] is True and len(data["checks"]) == 4
 
 
+def test_verify_kostka_checks_the_character_table(capsys, monkeypatch):
+    tables = {d: grouporacle.character_table(d) for d in range(4)}
+    trivial, standard, sign = tables[3]
+    tables[3] = (trivial, tuple(-v for v in standard), sign)
+    monkeypatch.setattr(grouporacle, "character_table", tables.get)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "kostka", "--d", "3")
+    assert code == 1
+    assert "violations: [('character-table', (2, 1))]" in out.splitlines()[-2]
+
+
 def test_exit_codes(capsys):
     # unknown suite is a usage error
     code, _, _ = run_cli(capsys, "verify", "--suite", "bogus", "--d", "2")
@@ -213,9 +224,8 @@ def test_budget_variables_apply_when_valid(capsys, monkeypatch):
     monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "2")
     code, _, err = run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_VERIFY_DEGREE"])
     assert code == 3 and "cap of 2" in err
-    monkeypatch.setenv("SYMKRON_MAX_GROUP", "5")
     with pytest.raises(BudgetExceededError, match="cap of 5"):
-        specht_generator_rank((2, 1))
+        specht_generator_rank((2, 1), max_group=5)
 
 
 def test_malformed_budget_variables_do_not_break_import(monkeypatch):
@@ -224,6 +234,5 @@ def test_malformed_budget_variables_do_not_break_import(monkeypatch):
     argv = [sys.executable, "-m", "symkron.cli", "partitions", "--d", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n1,1\n", "")
-    # No command reads SYMKRON_MAX_GROUP; the library call that does names it.
-    with pytest.raises(ValueError, match="^SYMKRON_MAX_GROUP must be a positive integer, got 'x'$"):
-        specht_generator_rank((2, 1))
+    # Nothing reads SYMKRON_MAX_GROUP: the group-order cap is an argument.
+    assert specht_generator_rank((2, 1)) == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symkron import symfunc
 from symkron.combinat import Partition, count_standard_tableaux, enumerate_partitions
 from symkron.contingency import decompose_permutation_tensor
 from symkron.errors import BudgetExceededError, DegreeMismatchError
@@ -252,3 +253,22 @@ def test_character_table_row_order():
         identity_col = parts.index(Partition((1,) * d))
         for row, lam in zip(table, parts):
             assert row[identity_col] == count_standard_tableaux(lam)
+
+
+def test_character_table_equals_murnaghan_nakayama():
+    for d in range(8):
+        parts = enumerate_partitions(d)
+        assert character_table(d) == tuple(
+            tuple(symfunc.character_value(lam, rho) for rho in parts) for lam in parts
+        )
+
+
+def test_character_table_never_reads_the_kostka_table(monkeypatch):
+    saved = {d: character_table(d) for d in range(7)}
+
+    def forbidden(d):
+        raise AssertionError(f"the brute-force character table read the Kostka table at {d}")
+
+    monkeypatch.setattr(symfunc, "build_kostka_table", forbidden)
+    character_table.cache_clear()
+    assert {d: character_table(d) for d in range(7)} == saved

@@ -112,6 +112,28 @@ def test_conversions_never_reach_the_determinant(monkeypatch):
                 convert(basis_element(src, lam), target)
 
 
+def test_power_sum_conversions_never_reach_the_brute_force_characters(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError(f"production route reached the brute-force characters at {args}")
+
+    monkeypatch.setattr(grouporacle, "character_table", forbidden)
+    monkeypatch.setattr(grouporacle, "_perm_char", forbidden)
+    for obj in vars(symfunc).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    for d in range(7):
+        for lam in enumerate_partitions(d):
+            convert(basis_element("p", lam), "s")
+            convert(basis_element("s", lam), "p")
+            grouporacle.specht_character(lam)
+
+
+def test_character_value_needs_equal_degrees():
+    assert symfunc.character_value((2, 1), (2, 1)) == 0
+    with pytest.raises(DegreeMismatchError):
+        symfunc.character_value((2, 1), (2,))
+
+
 def test_jacobi_trudi_duality():
     for d in range(7):
         for lam in enumerate_partitions(d):
