@@ -214,13 +214,7 @@ def cmd_ch(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = verify.RunConfig(
-        max_degree=grouporacle.env_cap(
-            "SYMKRON_MAX_VERIFY_DEGREE", verify.DEFAULT_MAX_VERIFY_DEGREE
-        ),
-        seed=args.seed,
-    )
-    checks = verify.run_verify(args.suite, args.d, config)
+    checks = verify.run_verify(args.suite, args.d, seed=args.seed)
     ok = all(c.passed for c in checks)
     lines = []
     for c in checks:

@@ -21,9 +21,10 @@ action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 ``act(tau, act(sigma, i)) == act(compose(sigma, tau), i)``.
 
 Orbit enumeration refuses inputs beyond a configurable cap (environment
-override ``SYMKRON_MAX_PAIRS``, read at each call by :func:`env_cap`), and
-rank computation beyond its ``max_group`` argument (default 8!); this layer
-exists for desk-scale verification, not production counting.
+override ``SYMKRON_MAX_PAIRS``, read at each call by :func:`env_cap`),
+permutation characters beyond 8! basis tuples, and rank computation beyond
+its ``max_group`` argument (default 8!); this layer exists for desk-scale
+verification, not production counting.
 """
 
 from __future__ import annotations
@@ -319,8 +320,17 @@ def _perm_char(lam: Composition) -> CharacterVector:
 
 
 def permutation_character(lam: Iterable[int]) -> CharacterVector:
-    """Character of the permutation module: fixed basis tuples per cycle type."""
-    return _perm_char(Composition(lam))
+    """Character of the permutation module: fixed basis tuples per cycle type.
+
+    Refuses modules with more than 8! basis tuples, before enumerating them.
+    """
+    lam = Composition(lam)
+    n_tuples = multinomial(lam.degree, lam)
+    if n_tuples > DEFAULT_MAX_GROUP_ORDER:
+        raise BudgetExceededError(
+            f"{n_tuples} basis tuples exceed the cap of {DEFAULT_MAX_GROUP_ORDER}"
+        )
+    return _perm_char(lam)
 
 
 def character_scalar_product(phi: CharacterVector, psi: CharacterVector) -> Fraction:

@@ -18,12 +18,18 @@ each other and reports one line per degree and identity family.  Suites:
 * ``all``: every suite above, plus the characteristic-map dictionary,
   isometry, the character route to the internal product, and seeded random
   spot checks of the place action.
+
+A suite is a generator of ``(check name, violations)`` pairs, one per check;
+an empty list of violations is a pass.  :func:`run_verify` alone turns them
+into :class:`Check` results, and it owns the degree cap
+(``SYMKRON_MAX_VERIFY_DEGREE``, default 8).  The oracle's own budgets are read
+where the oracle is called.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import grouporacle, symfunc
@@ -31,8 +37,6 @@ from .combinat import dominance_leq, enumerate_partitions
 from .contingency import decompose_permutation_tensor
 from .errors import BudgetExceededError
 from .kronecker import kronecker_h
-
-SUITES = ("monoidal", "orthonormality", "kostka", "jacobi-trudi", "all")
 
 DEFAULT_MAX_VERIFY_DEGREE = 8
 
@@ -44,52 +48,26 @@ class Check:
     detail: str = ""
 
 
-@dataclass
-class RunConfig:
-    """Budgets and the random seed for the verification suites."""
-
-    max_pairs: int = field(
-        default_factory=lambda: grouporacle.env_cap(
-            "SYMKRON_MAX_PAIRS", grouporacle.DEFAULT_MAX_ORBIT_PAIRS
-        )
-    )
-    max_degree: int = DEFAULT_MAX_VERIFY_DEGREE
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_pairs <= 0 or self.max_degree <= 0:
-            raise ValueError("budget caps must be positive")
-
-
 def _pairs(d: int):
     parts = enumerate_partitions(d)
     return [(lam, mu) for lam in parts for mu in parts]
 
 
-def suite_monoidal(d: int, config: RunConfig) -> list[Check]:
-    checks = []
+def suite_monoidal(d: int, seed: int):
     for e in range(d + 1):
         bad = []
         for lam, mu in _pairs(e):
             structural = decompose_permutation_tensor(lam, mu)
-            orbital = grouporacle.tensor_orbit_decompose(
-                lam, mu, max_pairs=config.max_pairs
-            )
-            if structural != orbital:
+            if structural != grouporacle.tensor_orbit_decompose(lam, mu):
                 bad.append((tuple(lam), tuple(mu)))
-        checks.append(
-            Check(
-                f"monoidal d={e}: margin rule == orbit decomposition "
-                f"({len(_pairs(e))} pairs, orbit sizes and overlap matrices checked)",
-                not bad,
-                f"mismatched pairs: {bad}" if bad else "",
-            )
+        yield (
+            f"monoidal d={e}: margin rule == orbit decomposition "
+            f"({len(_pairs(e))} pairs, orbit sizes and overlap matrices checked)",
+            bad,
         )
-    return checks
 
 
-def suite_orthonormality(d: int, config: RunConfig) -> list[Check]:
-    checks = []
+def suite_orthonormality(d: int, seed: int):
     for e in range(d + 1):
         bad = []
         for lam, mu in _pairs(e):
@@ -104,18 +82,10 @@ def suite_orthonormality(d: int, config: RunConfig) -> list[Check]:
             )
             if got != expected:
                 bad.append(("h/m", tuple(lam), tuple(mu), str(got)))
-        checks.append(
-            Check(
-                f"orthonormality d={e}: <s,s> and <h,m> are identity pairings",
-                not bad,
-                f"violations: {bad}" if bad else "",
-            )
-        )
-    return checks
+        yield f"orthonormality d={e}: <s,s> and <h,m> are identity pairings", bad
 
 
-def suite_kostka(d: int, config: RunConfig) -> list[Check]:
-    checks = []
+def suite_kostka(d: int, seed: int):
     for e in range(d + 1):
         table = symfunc.build_kostka_table(e)
         bad = []
@@ -131,30 +101,24 @@ def suite_kostka(d: int, config: RunConfig) -> list[Check]:
             for mu in table.partitions:
                 if in_s.coeff(mu) != table.kostka(mu, lam):
                     bad.append(("h-to-s", tuple(lam), tuple(mu)))
-        for lam, row in zip(table.partitions, grouporacle.character_table(e)):
-            if list(row) != [symfunc.character_value(lam, rho) for rho in table.partitions]:
+        # Murnaghan-Nakayama characters, built once per degree for both checks.
+        specht = [grouporacle.specht_character(lam) for lam in table.partitions]
+        for lam, row, chi in zip(table.partitions, grouporacle.character_table(e), specht):
+            if list(row) != [chi(rho) for rho in table.partitions]:
                 bad.append(("character-table", tuple(lam)))
         for mu in table.partitions:
             perm = grouporacle.permutation_character(mu)
             for rho in table.partitions:
                 total = sum(
-                    table.kostka(lam, mu) * grouporacle.specht_character(lam)(rho)
-                    for lam in table.partitions
+                    table.kostka(lam, mu) * chi(rho)
+                    for lam, chi in zip(table.partitions, specht)
                 )
                 if total != perm(rho):
                     bad.append(("character", tuple(mu), tuple(rho)))
-        checks.append(
-            Check(
-                f"kostka d={e}: diagonal, dominance support, transition, characters",
-                not bad,
-                f"violations: {bad}" if bad else "",
-            )
-        )
-    return checks
+        yield f"kostka d={e}: diagonal, dominance support, transition, characters", bad
 
 
-def suite_jacobi_trudi(d: int, config: RunConfig) -> list[Check]:
-    checks = []
+def suite_jacobi_trudi(d: int, seed: int):
     for e in range(d + 1):
         bad = []
         for lam in enumerate_partitions(e):
@@ -162,18 +126,10 @@ def suite_jacobi_trudi(d: int, config: RunConfig) -> list[Check]:
             direct = grouporacle.jacobi_trudi_dual(lam)
             if via_pivot != direct:
                 bad.append(tuple(lam))
-        checks.append(
-            Check(
-                f"jacobi-trudi d={e}: h determinant == conjugate e determinant",
-                not bad,
-                f"violations: {bad}" if bad else "",
-            )
-        )
-    return checks
+        yield f"jacobi-trudi d={e}: h determinant == conjugate e determinant", bad
 
 
-def suite_characteristic(d: int, config: RunConfig) -> list[Check]:
-    checks = []
+def suite_characteristic(d: int, seed: int):
     for e in range(d + 1):
         bad = []
         for lam in enumerate_partitions(e):
@@ -192,18 +148,10 @@ def suite_characteristic(d: int, config: RunConfig) -> list[Check]:
             rhs = grouporacle.character_scalar_product(phi, psi)
             if lhs != rhs:
                 bad.append(("isometry", tuple(lam), tuple(mu)))
-        checks.append(
-            Check(
-                f"characteristic d={e}: dictionary images and isometry",
-                not bad,
-                f"violations: {bad}" if bad else "",
-            )
-        )
-    return checks
+        yield f"characteristic d={e}: dictionary images and isometry", bad
 
 
-def suite_kron_character(d: int, config: RunConfig) -> list[Check]:
-    checks = []
+def suite_kron_character(d: int, seed: int):
     for e in range(d + 1):
         bad = []
         for lam, mu in _pairs(e):
@@ -212,18 +160,11 @@ def suite_kron_character(d: int, config: RunConfig) -> list[Check]:
             structural = kronecker_h(lam, mu)
             if via_chars != structural:
                 bad.append((tuple(lam), tuple(mu)))
-        checks.append(
-            Check(
-                f"kron-character d={e}: character route == margin-rule route",
-                not bad,
-                f"violations: {bad}" if bad else "",
-            )
-        )
-    return checks
+        yield f"kron-character d={e}: character route == margin-rule route", bad
 
 
-def suite_random_action(d: int, config: RunConfig) -> list[Check]:
-    rng = random.Random(config.seed)
+def suite_random_action(d: int, seed: int):
+    rng = random.Random(seed)
     e = max(2, min(d, 6))
     bad = []
     for _ in range(200):
@@ -234,13 +175,7 @@ def suite_random_action(d: int, config: RunConfig) -> list[Check]:
         rhs = grouporacle.act(grouporacle.compose(sigma, tau), i)
         if lhs != rhs:
             bad.append((sigma, tau, i))
-    return [
-        Check(
-            f"action d={e}: 200 random composition-law triples (seed {config.seed})",
-            not bad,
-            f"violations: {bad}" if bad else "",
-        )
-    ]
+    yield f"action d={e}: 200 random composition-law triples (seed {seed})", bad
 
 
 _SUITE_FUNCS = {
@@ -259,19 +194,25 @@ _SUITE_FUNCS = {
     ),
 }
 
+SUITES = tuple(_SUITE_FUNCS)
 
-def run_verify(suite: str, d: int, config: RunConfig | None = None) -> list[Check]:
-    """Run a named suite up to degree ``d`` and return its checks."""
+
+def run_verify(suite: str, d: int, *, seed: int = 0) -> list[Check]:
+    """Run a named suite up to degree ``d`` and return its checks.
+
+    ``SYMKRON_MAX_VERIFY_DEGREE`` is read before anything else, so a malformed
+    value is reported ahead of a bad suite name or degree.
+    """
+    max_degree = grouporacle.env_cap("SYMKRON_MAX_VERIFY_DEGREE", DEFAULT_MAX_VERIFY_DEGREE)
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    config = config or RunConfig()
-    if d > config.max_degree:
-        raise BudgetExceededError(
-            f"degree {d} exceeds the verification cap of {config.max_degree}"
-        )
-    checks: list[Check] = []
+    if d > max_degree:
+        raise BudgetExceededError(f"degree {d} exceeds the verification cap of {max_degree}")
+    checks = []
     for func in _SUITE_FUNCS[suite]:
-        checks.extend(func(d, config))
+        label = "mismatched pairs" if func is suite_monoidal else "violations"
+        for name, bad in func(d, seed):
+            checks.append(Check(name, not bad, f"{label}: {bad}" if bad else ""))
     return checks

@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from symkron import grouporacle
+from symkron import grouporacle, verify
 from symkron.cli import main
 from symkron.errors import BudgetExceededError
 from symkron.grouporacle import specht_generator_rank
 from symkron.symfunc import SymFunc
+from symkron.verify import run_verify
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +173,37 @@ def test_verify_kostka_checks_the_character_table(capsys, monkeypatch):
     assert "violations: [('character-table', (2, 1))]" in out.splitlines()[-2]
 
 
+def test_verify_all_reports_monoidal_mismatches(capsys, monkeypatch):
+    real = verify.decompose_permutation_tensor
+
+    def broken(lam, mu):
+        return {} if (tuple(lam), tuple(mu)) == ((2,), (1, 1)) else real(lam, mu)
+
+    monkeypatch.setattr(verify, "decompose_permutation_tensor", broken)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--d", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2] == (
+        "FAIL monoidal d=2: margin rule == orbit decomposition (4 pairs, orbit sizes "
+        "and overlap matrices checked) [mismatched pairs: [((2,), (1, 1))]]"
+    )
+    assert all(line.startswith("PASS") for line in lines[:2] + lines[3:-1])
+    assert lines[-1] == f"FAIL all: {len(lines) - 1} checks"
+
+
+def test_verify_kostka_builds_one_specht_row_per_partition(monkeypatch):
+    calls = []
+    real = grouporacle.specht_character
+
+    def counted(lam):
+        calls.append(tuple(lam))
+        return real(lam)
+
+    monkeypatch.setattr(grouporacle, "specht_character", counted)
+    assert all(check.passed for check in run_verify("kostka", 5))
+    assert len(calls) <= 19  # one per partition of each degree 0..5
+
+
 def test_exit_codes(capsys):
     # unknown suite is a usage error
     code, _, _ = run_cli(capsys, "verify", "--suite", "bogus", "--d", "2")
@@ -226,6 +258,29 @@ def test_budget_variables_apply_when_valid(capsys, monkeypatch):
     assert code == 3 and "cap of 2" in err
     with pytest.raises(BudgetExceededError, match="cap of 5"):
         specht_generator_rank((2, 1), max_group=5)
+
+
+def test_library_verify_reads_the_degree_cap(monkeypatch):
+    monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "2")
+    with pytest.raises(BudgetExceededError, match="cap of 2"):
+        run_verify("kostka", 3)
+
+
+def test_malformed_pair_cap_fails_only_suites_that_read_it(capsys, monkeypatch):
+    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "x")
+    code, out, err = run_cli(capsys, "verify", "--suite", "kostka", "--d", "3")
+    assert (code, err) == (0, "") and out.endswith("PASS kostka: 4 checks\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "monoidal", "--d", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: SYMKRON_MAX_PAIRS must be a positive integer, got 'x'\n"
+
+
+def test_permutation_character_budget(capsys):
+    code, out, err = run_cli(capsys, "character", "--kind", "perm", "--lambda", "1,1,1,1,1,1,1,1,1")
+    assert (code, out) == (3, "")
+    assert err == "error: 362880 basis tuples exceed the cap of 40320\n"
+    code, out, _ = run_cli(capsys, "ch", "--kind", "perm", "--lambda", "9", "--basis", "s")
+    assert (code, out) == (0, "s[9]\n")
 
 
 def test_malformed_budget_variables_do_not_break_import(monkeypatch):

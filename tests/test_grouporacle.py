@@ -107,6 +107,19 @@ def test_permutation_character_examples():
     assert permutation_character((2, 1)).values == {(1, 1, 1): 3, (2, 1): 1, (3,): 0}
 
 
+
+def test_permutation_character_budget(monkeypatch):
+    from symkron import grouporacle
+
+    # The cap is checked before any tuple is enumerated.
+    monkeypatch.setattr(grouporacle, "_perm_char", lambda lam: lam)
+    assert permutation_character((1,) * 8) == (1,) * 8  # 8! tuples: at the cap
+    with pytest.raises(BudgetExceededError, match="181440 basis tuples exceed the cap of 40320"):
+        permutation_character((2,) + (1,) * 7)
+    with pytest.raises(BudgetExceededError, match="cap of 40320"):
+        permutation_character((1, 2, 0, 1, 1, 1, 1, 1, 1))
+    assert permutation_character((9,)) == (9,)
+
 def test_permutation_character_is_conjugation_invariant():
     rng = random.Random(4242)
     for d in range(1, 6):
