@@ -14,12 +14,16 @@ output is byte-stable across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .combinat import Composition, Partition, sort_to_partition
-from .errors import DegreeMismatchError
+from .errors import BudgetExceededError, DegreeMismatchError
+
+# The same 8! as the permutation-character cap: 1^8 x 1^8 still lists.
+MAX_LISTED_MATRICES = math.factorial(8)
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,16 @@ def contingency_matrices(lam: Iterable[int], mu: Iterable[int]) -> list[Continge
     """All matrices with row sums ``lam`` and column sums ``mu``.
 
     Rows are generated one at a time as bounded compositions of the row sum,
-    the bounds being the remaining column budgets.
+    the bounds being the remaining column budgets.  More than
+    ``MAX_LISTED_MATRICES`` matrices, counted by ``hom_dimension`` first,
+    are refused before any is built.
     """
     lam, mu = _check_degrees(lam, mu)
+    count = hom_dimension(lam, mu)
+    if count > MAX_LISTED_MATRICES:
+        raise BudgetExceededError(
+            f"{count} margin matrices exceed the listing cap of {MAX_LISTED_MATRICES}"
+        )
     out: list[ContingencyMatrix] = []
 
     def fill(i: int, budgets: tuple[int, ...], acc: tuple[tuple[int, ...], ...]) -> None:

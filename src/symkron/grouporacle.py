@@ -358,10 +358,17 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     ``mu`` is the irreducible of ``mu`` plus multiples of earlier rows (the
     partitions dominating ``mu``), so subtracting its projections onto them
     leaves the next row, which must have norm 1 and a positive degree.
+
+    The last row, ``1^d``, needs all ``d!`` tuples, so a degree whose group
+    order exceeds the permutation-character cap is refused before any work.
     """
+    order = math.factorial(d)
+    if order > DEFAULT_MAX_GROUP_ORDER:
+        raise BudgetExceededError(
+            f"{order} basis tuples exceed the cap of {DEFAULT_MAX_GROUP_ORDER}"
+        )
     parts = enumerate_partitions(d)
     sizes = [cycle_type_data(d).class_size[rho] for rho in parts]
-    order = math.factorial(d)
     rows: list[tuple[int, ...]] = []
     for mu in parts:
         perm = permutation_character(mu).values.values()

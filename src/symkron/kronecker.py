@@ -9,7 +9,6 @@ can verify each other.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -20,9 +19,9 @@ from .errors import DegreeMismatchError, InternalConsistencyError
 
 
 @lru_cache(maxsize=None)
-def _kronecker_h(lam: Partition, mu: Partition) -> symfunc.SymFunc:
-    pieces = decompose_permutation_tensor(lam, mu)
-    return symfunc.SymFunc("h", lam.degree, {p: Fraction(m) for p, m in pieces.items()})
+def _kronecker_h(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    # The cached dict is shared: read it, never hand it out.
+    return decompose_permutation_tensor(lam, mu)
 
 
 def kronecker_h(lam: Iterable[int], mu: Iterable[int]) -> symfunc.SymFunc:
@@ -33,31 +32,38 @@ def kronecker_h(lam: Iterable[int], mu: Iterable[int]) -> symfunc.SymFunc:
         raise DegreeMismatchError(
             f"internal product needs equal degrees, got {lam.degree} and {mu.degree}"
         )
-    return _kronecker_h(lam, mu)
+    return symfunc.SymFunc("h", lam.degree, _kronecker_h(lam, mu))
 
 
 def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
-    """Bilinear extension of the internal product, in the basis of ``f``."""
+    """Bilinear extension of the internal product, in the basis of ``f``.
+
+    Both factors are expanded in the h basis and multiplied by the margin
+    rule.  The sums stay ints unless ``f`` or ``g`` has a non-integral
+    coefficient; only a result in the p basis divides, by ``z_rho``.
+    """
     if f.degree != g.degree:
         raise DegreeMismatchError(
             f"internal product needs equal degrees, got {f.degree} and {g.degree}"
         )
-    fh = symfunc.convert(f, "h")
-    gh = symfunc.convert(g, "h")
-    acc: dict[Partition, Fraction] = {}
-    for lam, a in fh.terms.items():
-        for mu, b in gh.terms.items():
+    fh = symfunc._terms_in(f, "h")
+    gh = symfunc._terms_in(g, "h")
+    acc: dict = {}
+    for lam, a in fh.items():
+        for mu, b in gh.items():
             ab = a * b
-            for nu, m in _kronecker_h(lam, mu).terms.items():
-                acc[nu] = acc.get(nu, Fraction(0)) + ab * m
-    return symfunc.convert(symfunc.SymFunc("h", f.degree, acc), f.basis)
+            for nu, m in _kronecker_h(lam, mu).items():
+                acc[nu] = acc.get(nu, 0) + ab * m
+    return symfunc.SymFunc(f.basis, f.degree, symfunc._convert_terms("h", acc, f.basis))
 
 
 def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Multiplicity of the Schur function ``nu`` in ``s_lam * s_mu``.
 
-    The result must be a nonnegative integer; anything else means the
-    implementation is inconsistent and raises, never returns.
+    Schur functions are orthonormal, so this is the coefficient of ``s_nu``
+    in the Schur expansion of the product.  It must be a nonnegative
+    integer; anything else means the implementation is inconsistent and
+    raises, never returns.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -65,7 +71,7 @@ def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[in
     if not (lam.degree == mu.degree == nu.degree):
         raise DegreeMismatchError("Kronecker coefficients need three equal degrees")
     product = kronecker(symfunc.basis_element("s", lam), symfunc.basis_element("s", mu))
-    value = symfunc.scalar_product(product, symfunc.basis_element("s", nu))
+    value = product.coeff(nu)
     if value.denominator != 1 or value < 0:
         raise InternalConsistencyError(
             f"coefficient for {tuple(lam)}, {tuple(mu)}, {tuple(nu)} came out as {value}"

@@ -15,9 +15,12 @@ routed through the Schur basis:
 The Jacobi-Trudi determinants and the brute-force character table, second
 routes to the same tables, live in :mod:`symkron.grouporacle` as checks.
 
-Coefficients are `fractions.Fraction` throughout; integrality is asserted
-where the theory demands it instead of being assumed.  SymFunc values are
-immutable; per-degree tables are built once and then only read.
+``SymFunc.terms`` is `fractions.Fraction`-valued.  Inner loops run on Python
+ints wherever the theory gives integers (the Kostka matrix and its inverse,
+character values, margin counts); only the ``1/z_rho`` of ``s -> p`` and
+coefficients the user writes bring in a ``Fraction``.  Integrality is
+asserted where the theory demands it instead of being assumed.  SymFunc
+values are immutable; per-degree tables are built once and then only read.
 """
 
 from __future__ import annotations
@@ -325,30 +328,52 @@ _TO_S = {"m": _m_elem_to_s, "e": _e_elem_to_s, "h": _h_elem_to_s, "p": _p_elem_t
 _FROM_S = {"m": _s_elem_to_m, "e": _s_elem_to_e, "h": _s_elem_to_h, "p": _s_elem_to_p}
 
 
+def _convert_terms(basis: str, terms: Mapping[Partition, Fraction | int], target: str) -> dict:
+    """Re-expand ``basis`` terms in ``target``, through s, in exact arithmetic.
+
+    Sums start from the int 0, so integer inputs stay ints on the Kostka
+    paths and only the ``1/z_rho`` of s -> p or a rational input brings in a
+    ``Fraction``.  Zero coefficients are skipped on the way in and through
+    s and dropped from the result, so its keys are those, in the order,
+    that a ``SymFunc`` built on it would store.
+    """
+    if target == basis:
+        return {lam: c for lam, c in terms.items() if c}
+    if basis == "s":
+        mid = terms
+    else:
+        to_s = _TO_S[basis]
+        mid = {}
+        for lam, c in terms.items():
+            if not c:
+                continue
+            for nu, x in to_s(lam).items():
+                mid[nu] = mid.get(nu, 0) + c * x
+    if target == "s":
+        return {nu: c for nu, c in mid.items() if c}
+    from_s = _FROM_S[target]
+    out: dict = {}
+    for nu, c in mid.items():
+        if not c:
+            continue
+        for lam, x in from_s(nu).items():
+            out[lam] = out.get(lam, 0) + c * x
+    return {lam: c for lam, c in out.items() if c}
+
+
+def _terms_in(f: SymFunc, target: str) -> dict:
+    """``_convert_terms`` of ``f``, its integral coefficients read as ints."""
+    terms = {lam: c.numerator if c.denominator == 1 else c for lam, c in f.terms.items()}
+    return _convert_terms(f.basis, terms, target)
+
+
 def convert(f: SymFunc, target: str) -> SymFunc:
     """The same symmetric function expressed in the target basis."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}, expected one of {BASES}")
     if target == f.basis:
         return f
-    if f.basis == "s":
-        mid = {lam: Fraction(c) for lam, c in f.terms.items()}
-    else:
-        to_s = _TO_S[f.basis]
-        mid = {}
-        for lam, c in f.terms.items():
-            for nu, x in to_s(lam).items():
-                mid[nu] = mid.get(nu, Fraction(0)) + c * x
-    if target == "s":
-        return SymFunc("s", f.degree, mid)
-    from_s = _FROM_S[target]
-    out: dict[Partition, Fraction] = {}
-    for nu, c in mid.items():
-        if not c:
-            continue
-        for lam, x in from_s(nu).items():
-            out[lam] = out.get(lam, Fraction(0)) + c * x
-    return SymFunc(target, f.degree, out)
+    return SymFunc(target, f.degree, _terms_in(f, target))
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -357,14 +382,14 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     Both factors are expanded in the h basis, where the product just
     concatenates and sorts partition indices.
     """
-    fh = convert(f, "h")
-    gh = convert(g, "h")
-    acc: dict[Partition, Fraction] = {}
-    for lam, a in fh.terms.items():
-        for mu, b in gh.terms.items():
+    fh = _terms_in(f, "h")
+    gh = _terms_in(g, "h")
+    acc: dict = {}
+    for lam, a in fh.items():
+        for mu, b in gh.items():
             key = Partition(sorted(lam + mu, reverse=True))
-            acc[key] = acc.get(key, Fraction(0)) + a * b
-    return convert(SymFunc("h", f.degree + g.degree, acc), f.basis)
+            acc[key] = acc.get(key, 0) + a * b
+    return SymFunc(f.basis, f.degree + g.degree, _convert_terms("h", acc, f.basis))
 
 
 def scalar_product(f: SymFunc, g: SymFunc) -> Fraction:
@@ -374,9 +399,6 @@ def scalar_product(f: SymFunc, g: SymFunc) -> Fraction:
     """
     if f.degree != g.degree:
         return Fraction(0)
-    fh = convert(f, "h")
-    gm = convert(g, "m")
-    total = Fraction(0)
-    for lam in fh.terms.keys() & gm.terms.keys():
-        total += fh.terms[lam] * gm.terms[lam]
-    return total
+    fh = _terms_in(f, "h")
+    gm = _terms_in(g, "m")
+    return Fraction(sum(fh[lam] * gm[lam] for lam in fh.keys() & gm.keys()))

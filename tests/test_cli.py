@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from symkron import grouporacle, verify
+from symkron.contingency import ContingencyMatrix
 from symkron.cli import main
 from symkron.errors import BudgetExceededError
 from symkron.grouporacle import specht_generator_rank
@@ -281,6 +282,23 @@ def test_permutation_character_budget(capsys):
     assert err == "error: 362880 basis tuples exceed the cap of 40320\n"
     code, out, _ = run_cli(capsys, "ch", "--kind", "perm", "--lambda", "9", "--basis", "s")
     assert (code, out) == (0, "s[9]\n")
+
+
+def test_matrix_listing_budget(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("margin matrix built")
+
+    monkeypatch.setattr(ContingencyMatrix, "__init__", refuse)
+    ones = ",".join("1" * 9)
+    for argv in (
+        ["contingency", "--lambda", ones, "--mu", ones],
+        ["decompose-perm", "--lambda", ones, "--mu", ones, "--show-matrices"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: 362880 margin matrices exceed the listing cap of 40320\n"
+    code, out, _ = run_cli(capsys, "contingency", "--lambda", ones, "--mu", ones, "--count-only")
+    assert (code, out) == (0, "362880\n")
 
 
 def test_malformed_budget_variables_do_not_break_import(monkeypatch):

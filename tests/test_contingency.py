@@ -7,12 +7,13 @@ import pytest
 from symkron import contingency
 from symkron.combinat import enumerate_compositions, enumerate_partitions, multinomial
 from symkron.contingency import (
+    MAX_LISTED_MATRICES,
     ContingencyMatrix,
     contingency_matrices,
     decompose_permutation_tensor,
     hom_dimension,
 )
-from symkron.errors import DegreeMismatchError
+from symkron.errors import BudgetExceededError, DegreeMismatchError
 from symkron.symfunc import basis_element
 
 from oracles import brute_contingency
@@ -199,3 +200,16 @@ def test_hom_dimension():
     assert hom_dimension((2, 0, 2), (1, 1, 1, 1)) == len(
         contingency_matrices((2, 0, 2), (1, 1, 1, 1))
     )
+
+
+def test_listing_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("margin matrix built")
+
+    monkeypatch.setattr(ContingencyMatrix, "__init__", refuse)
+    with pytest.raises(BudgetExceededError, match="362880 margin matrices exceed the listing cap of 40320"):
+        contingency_matrices((1,) * 9, (1,) * 9)
+    # 1^8 x 1^8 sits at the cap and still lists; a cheap stand-in counts it.
+    monkeypatch.setattr(contingency, "ContingencyMatrix", lambda rows, lam, mu: rows)
+    assert hom_dimension((1,) * 8, (1,) * 8) == MAX_LISTED_MATRICES == 40320
+    assert len(contingency_matrices((1,) * 8, (1,) * 8)) == 40320

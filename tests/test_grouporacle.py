@@ -276,6 +276,17 @@ def test_character_table_equals_murnaghan_nakayama():
         )
 
 
+def test_character_table_refuses_before_any_work(monkeypatch):
+    from symkron import grouporacle
+
+    def forbidden(lam):
+        raise AssertionError(f"permutation character of {tuple(lam)} computed")
+
+    monkeypatch.setattr(grouporacle, "permutation_character", forbidden)
+    with pytest.raises(BudgetExceededError, match="362880 basis tuples exceed the cap of 40320"):
+        character_table(9)
+
+
 def test_character_table_never_reads_the_kostka_table(monkeypatch):
     saved = {d: character_table(d) for d in range(7)}
 

@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from symkron.combinat import conjugate, enumerate_partitions
+from symkron.combinat import centralizer_order, conjugate, enumerate_partitions
 from symkron.errors import DegreeMismatchError
 from symkron.grouporacle import (
     character_scalar_product,
@@ -11,7 +12,7 @@ from symkron.grouporacle import (
     specht_character,
 )
 from symkron.kronecker import kronecker, kronecker_coefficient, kronecker_h
-from symkron.symfunc import SymFunc, basis_element, convert
+from symkron.symfunc import BASES, SymFunc, basis_element, convert
 
 
 def test_kronecker_h_examples():
@@ -23,6 +24,17 @@ def test_kronecker_h_examples():
     assert kronecker_h((1, 1), (1, 1)) == SymFunc("h", 2, {(1, 1): 2})
     with pytest.raises(DegreeMismatchError):
         kronecker_h((2,), (1,))
+
+
+def test_kronecker_h_returns_a_fresh_value():
+    first = kronecker_h((2, 1, 1), (2, 2))
+    expected = dict(first.terms)
+    first.terms[(4,)] = Fraction(7)
+    del first.terms[(1, 1, 1, 1)]
+    assert kronecker_h((2, 1, 1), (2, 2)).terms == expected
+    assert kronecker(
+        basis_element("h", (2, 1, 1)), basis_element("h", (2, 2))
+    ).terms == expected
 
 
 def test_kronecker_examples():
@@ -109,3 +121,39 @@ def test_kronecker_coefficient_full_symmetry():
         for (lam, mu, nu), value in table.items():
             for perm in itertools.permutations((lam, mu, nu)):
                 assert table[perm] == value
+
+
+def test_power_sums_are_orthogonal_idempotents_up_to_z():
+    # p_rho * p_sigma = delta(rho, sigma) z_rho p_rho (Macdonald I.7).
+    for d in range(7):
+        for rho in enumerate_partitions(d):
+            for sigma in enumerate_partitions(d):
+                product = kronecker(basis_element("p", rho), basis_element("p", sigma))
+                if rho == sigma:
+                    assert product == centralizer_order(rho) * basis_element("p", rho)
+                else:
+                    assert product.is_zero()
+
+
+def test_kronecker_is_bilinear_over_the_rationals():
+    q, r = Fraction(1, 3), Fraction(-2, 5)
+    for d in range(5):
+        parts = enumerate_partitions(d)
+        for a, b in itertools.product(BASES, repeat=2):
+            for lam, mu in itertools.product(parts, repeat=2):
+                f = basis_element(a, lam) - basis_element(a, parts[-1])
+                g = basis_element(b, mu) + basis_element(b, parts[0])
+                assert kronecker(q * f, r * g) == (q * r) * kronecker(f, g)
+
+
+def test_kronecker_results_are_fraction_valued():
+    for d in range(5):
+        parts = enumerate_partitions(d)
+        for a, b in itertools.product(BASES, repeat=2):
+            for lam, mu in itertools.product(parts, repeat=2):
+                f = basis_element(a, lam) + Fraction(1, 3) * basis_element(a, parts[0])
+                product = kronecker(f, basis_element(b, mu))
+                assert all(type(c) is Fraction for c in product.terms.values())
+        for lam, mu in itertools.product(parts, repeat=2):
+            assert all(type(c) is Fraction for c in kronecker_h(lam, mu).terms.values())
+            assert type(kronecker_coefficient(lam, mu, parts[0])) is int

@@ -269,3 +269,28 @@ def test_json_round_trip():
     data = f.to_json_dict()
     assert data["basis"] == "s" and data["degree"] == 3
     assert SymFunc.from_json(f.to_json()) == f
+
+
+def test_multiply_is_bilinear_over_the_rationals():
+    q, r = Fraction(1, 3), Fraction(-2, 5)
+    for d, e in itertools.product(range(5), repeat=2):
+        if d + e > 6:
+            continue
+        for a, b in itertools.product(BASES, repeat=2):
+            for lam, mu in itertools.product(enumerate_partitions(d), enumerate_partitions(e)):
+                f = basis_element(a, lam) - basis_element(a, enumerate_partitions(d)[-1])
+                g = basis_element(b, mu) + basis_element(b, (e,) if e else ())
+                assert multiply(q * f, r * g) == (q * r) * multiply(f, g)
+
+
+def test_results_are_fraction_valued():
+    for d in range(5):
+        parts = enumerate_partitions(d)
+        for a, b in itertools.product(BASES, repeat=2):
+            for lam in parts:
+                f = basis_element(a, lam) - Fraction(2, 5) * basis_element(a, parts[-1])
+                g = basis_element(b, parts[0])
+                for value in (convert(f, b), multiply(f, g), multiply(g, f)):
+                    assert all(type(c) is Fraction for c in value.terms.values())
+                assert type(scalar_product(f, g)) is Fraction
+                assert type(scalar_product(g, basis_element(b, lam))) is Fraction
