@@ -23,25 +23,7 @@ from .combinat import (
     parse_parts,
 )
 from .contingency import contingency_matrices, decompose_permutation_tensor, hom_dimension
-from .errors import BudgetExceededError, DegreeMismatchError, ExpressionError
-
-
-class UsageError(Exception):
-    pass
-
-
-def _partition_arg(text: str) -> Partition:
-    try:
-        return Partition(parse_parts(text))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _composition_arg(text: str) -> Composition:
-    try:
-        return Composition(parse_parts(text))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+from .errors import BudgetExceededError
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -83,8 +65,8 @@ def cmd_compositions(args) -> int:
 
 
 def cmd_kostka(args) -> int:
-    shape = _partition_arg(args.shape)
-    content = _composition_arg(args.content)
+    shape = Partition(parse_parts(args.shape))
+    content = Composition(parse_parts(args.content))
     value = count_ssyt(shape, content)
     _emit(
         args,
@@ -95,8 +77,8 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_contingency(args) -> int:
-    lam = _composition_arg(args.lam)
-    mu = _composition_arg(args.mu)
+    lam = Composition(parse_parts(args.lam))
+    mu = Composition(parse_parts(args.mu))
     if args.count_only:
         count = hom_dimension(lam, mu)
         _emit(args, [str(count)], {"lambda": list(lam), "mu": list(mu), "count": count})
@@ -121,8 +103,8 @@ def cmd_contingency(args) -> int:
 
 
 def cmd_decompose_perm(args) -> int:
-    lam = _composition_arg(args.lam)
-    mu = _composition_arg(args.mu)
+    lam = Composition(parse_parts(args.lam))
+    mu = Composition(parse_parts(args.mu))
     pieces = decompose_permutation_tensor(lam, mu)
     payload = {
         "lambda": list(lam),
@@ -170,14 +152,6 @@ def _eval_command(args) -> int:
     return 0
 
 
-def cmd_kron(args) -> int:
-    return _eval_command(args)
-
-
-def cmd_convert(args) -> int:
-    return _eval_command(args)
-
-
 def _character_for(kind: str, lam: Partition) -> grouporacle.CharacterVector:
     if kind == "perm":
         return grouporacle.permutation_character(lam)
@@ -185,7 +159,7 @@ def _character_for(kind: str, lam: Partition) -> grouporacle.CharacterVector:
 
 
 def cmd_character(args) -> int:
-    lam = _partition_arg(args.lam)
+    lam = Partition(parse_parts(args.lam))
     char = _character_for(args.kind, lam)
     lines = [f"{format_parts(rho)}: {value}" for rho, value in char.items()]
     _emit(
@@ -204,7 +178,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_ch(args) -> int:
-    lam = _partition_arg(args.lam)
+    lam = Partition(parse_parts(args.lam))
     char = _character_for(args.kind, lam)
     image = grouporacle.characteristic_map(char)
     if args.basis:
@@ -290,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--basis", choices=symfunc.BASES)
     p.add_argument("--formal", action="store_true", help="allow mixed-degree sums")
-    p.set_defaults(func=cmd_kron)
+    p.set_defaults(func=_eval_command)
 
     p = sub.add_parser(
         "convert", parents=[common], help="evaluate and convert an expression"
@@ -298,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--basis", choices=symfunc.BASES, required=True)
     p.add_argument("--formal", action="store_true", help="allow mixed-degree sums")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func=_eval_command)
 
     p = sub.add_parser("character", parents=[common], help="character values by cycle type")
     p.add_argument("--kind", choices=("perm", "specht"), required=True)
@@ -333,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ExpressionError, DegreeMismatchError, UsageError, ValueError) as exc:
+    except ValueError as exc:  # parse errors, ExpressionError, DegreeMismatchError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

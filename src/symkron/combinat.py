@@ -71,19 +71,27 @@ def enumerate_compositions(n: int, d: int) -> list[Composition]:
     """All compositions of ``d`` into ``n`` ordered parts, lex descending."""
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
-    if n == 0:
-        return [Composition()] if d == 0 else []
-    out: list[Composition] = []
+    return [Composition(c) for c in _bounded_compositions(d, (d,) * n)]
 
-    def fill(prefix: tuple[int, ...], k: int, rem: int) -> None:
-        if k == 1:
-            out.append(Composition(prefix + (rem,)))
+
+def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Compositions of ``total`` with entry ``j`` at most ``caps[j]``, lex descending."""
+    n = len(caps)
+    suffix = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + caps[k]
+
+    def walk(k: int, rem: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if k == n:
+            if rem == 0:
+                yield prefix
             return
-        for v in range(rem, -1, -1):
-            fill(prefix + (v,), k - 1, rem - v)
+        hi = min(caps[k], rem)
+        lo = max(0, rem - suffix[k + 1])
+        for v in range(hi, lo - 1, -1):
+            yield from walk(k + 1, rem - v, prefix + (v,))
 
-    fill((), n, d)
-    return out
+    return walk(0, total, ())
 
 
 @lru_cache(maxsize=None)

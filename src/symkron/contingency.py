@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .combinat import Composition, Partition, sort_to_partition
+from .combinat import Composition, Partition, _bounded_compositions, sort_to_partition
 from .errors import BudgetExceededError, DegreeMismatchError
 
 # The same 8! as the permutation-character cap: 1^8 x 1^8 still lists.
@@ -72,26 +72,6 @@ def _check_degrees(lam: Iterable[int], mu: Iterable[int]) -> tuple[Composition, 
             f"margins have different totals: {lam.degree} and {mu.degree}"
         )
     return lam, mu
-
-
-def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` with entry ``j`` at most ``caps[j]``, lex descending."""
-    n = len(caps)
-    suffix = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + caps[k]
-
-    def walk(k: int, rem: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            if rem == 0:
-                yield prefix
-            return
-        hi = min(caps[k], rem)
-        lo = max(0, rem - suffix[k + 1])
-        for v in range(hi, lo - 1, -1):
-            yield from walk(k + 1, rem - v, prefix + (v,))
-
-    return walk(0, total, ())
 
 
 def contingency_matrices(lam: Iterable[int], mu: Iterable[int]) -> list[ContingencyMatrix]:

@@ -21,10 +21,10 @@ action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 ``act(tau, act(sigma, i)) == act(compose(sigma, tau), i)``.
 
 Orbit enumeration refuses inputs beyond a configurable cap (environment
-override ``SYMKRON_MAX_PAIRS``, read at each call by :func:`env_cap`),
-permutation characters beyond 8! basis tuples, and rank computation beyond
-its ``max_group`` argument (default 8!); this layer exists for desk-scale
-verification, not production counting.
+override ``SYMKRON_MAX_PAIRS``, read at each call by :func:`env_cap`), and
+permutation characters and the Specht-generator rank refuse more than 8!
+tuples or group elements; this layer exists for desk-scale verification,
+not production counting.
 """
 
 from __future__ import annotations
@@ -87,24 +87,8 @@ def compose(sigma: Perm, tau: Perm) -> Perm:
     return tuple(sigma[t - 1] for t in tau)
 
 
-def perm_sign(sigma: Perm) -> int:
-    seen = [False] * len(sigma)
-    sign = 1
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = sigma[t] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def cycle_type(sigma: Perm) -> Partition:
+def _cycle_lengths(sigma: Perm) -> list[int]:
+    """Lengths of the cycles of ``sigma``, in order of their smallest point."""
     seen = [False] * len(sigma)
     lengths = []
     for start in range(len(sigma)):
@@ -117,7 +101,16 @@ def cycle_type(sigma: Perm) -> Partition:
             t = sigma[t] - 1
             length += 1
         lengths.append(length)
-    return Partition(sorted(lengths, reverse=True))
+    return lengths
+
+
+def perm_sign(sigma: Perm) -> int:
+    """``(-1)`` to the degree minus the number of cycles."""
+    return (-1) ** (len(sigma) - len(_cycle_lengths(sigma)))
+
+
+def cycle_type(sigma: Perm) -> Partition:
+    return Partition(sorted(_cycle_lengths(sigma), reverse=True))
 
 
 def representative_permutation(rho: Iterable[int]) -> Perm:
@@ -175,9 +168,7 @@ def _overlap_matrix(i: IndexTuple, j: IndexTuple, m: int, n: int) -> tuple[tuple
     return tuple(tuple(row) for row in mat)
 
 
-def tensor_orbit_decompose(
-    lam: Iterable[int], mu: Iterable[int], *, max_pairs: int | None = None
-) -> dict[Partition, int]:
+def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partition, int]:
     """Decompose a tensor product of permutation modules by explicit orbits.
 
     The basis of the product is the set of tuple pairs; orbits under the
@@ -193,7 +184,7 @@ def tensor_orbit_decompose(
             f"margins have different totals: {lam.degree} and {mu.degree}"
         )
     d = lam.degree
-    cap = env_cap("SYMKRON_MAX_PAIRS", DEFAULT_MAX_ORBIT_PAIRS) if max_pairs is None else max_pairs
+    cap = env_cap("SYMKRON_MAX_PAIRS", DEFAULT_MAX_ORBIT_PAIRS)
     n_pairs = multinomial(d, lam) * multinomial(d, mu)
     if n_pairs > cap:
         raise BudgetExceededError(
@@ -466,17 +457,20 @@ def _young_subgroup_signed(block_sizes: tuple[int, ...], d: int):
         yield tuple(images), sign
 
 
-def specht_generator_rank(lam: Iterable[int], *, max_group: int = DEFAULT_MAX_GROUP_ORDER) -> int:
+def specht_generator_rank(lam: Iterable[int]) -> int:
     """Rank of the span of the orbit of the signed column-symmetrized tuple.
 
     Builds the alternating sum over the column Young subgroup applied to the
     column word, pushes it around by every group element, and row reduces
-    over exact rationals.
+    over exact rationals.  Refuses group orders above 8! before any work.
     """
     lam = Partition(lam)
     d = lam.degree
-    if math.factorial(d) > max_group:
-        raise BudgetExceededError(f"group order {math.factorial(d)} exceeds the cap of {max_group}")
+    order = math.factorial(d)
+    if order > DEFAULT_MAX_GROUP_ORDER:
+        raise BudgetExceededError(
+            f"group order {order} exceeds the cap of {DEFAULT_MAX_GROUP_ORDER}"
+        )
     base = _column_word(lam)
     generator: dict[IndexTuple, int] = {}
     for sigma, sign in _young_subgroup_signed(tuple(conjugate(lam)), d):

@@ -209,9 +209,6 @@ class KostkaTable:
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
         return self.matrix[self.index[Partition(lam)]][self.index[Partition(mu)]]
 
-    def inverse_kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
-        return self.inverse[self.index[Partition(lam)]][self.index[Partition(mu)]]
-
 
 @lru_cache(maxsize=None)
 def build_kostka_table(d: int) -> KostkaTable:

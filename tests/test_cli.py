@@ -257,8 +257,8 @@ def test_budget_variables_apply_when_valid(capsys, monkeypatch):
     monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "2")
     code, _, err = run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_VERIFY_DEGREE"])
     assert code == 3 and "cap of 2" in err
-    with pytest.raises(BudgetExceededError, match="cap of 5"):
-        specht_generator_rank((2, 1), max_group=5)
+    with pytest.raises(BudgetExceededError, match="cap of 40320"):
+        specht_generator_rank((9,))
 
 
 def test_library_verify_reads_the_degree_cap(monkeypatch):
@@ -307,5 +307,5 @@ def test_malformed_budget_variables_do_not_break_import(monkeypatch):
     argv = [sys.executable, "-m", "symkron.cli", "partitions", "--d", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n1,1\n", "")
-    # Nothing reads SYMKRON_MAX_GROUP: the group-order cap is an argument.
+    # Nothing reads SYMKRON_MAX_GROUP: the group-order cap is a fixed 8!.
     assert specht_generator_rank((2, 1)) == 2

@@ -49,9 +49,10 @@ def test_composition_counts_and_brute_force():
             comps = enumerate_compositions(n, d)
             assert len(comps) == math.comb(d + n - 1, n - 1)
             assert len(set(comps)) == len(comps)
-    for n in range(4):
-        for d in range(5):
-            assert set(map(tuple, enumerate_compositions(n, d))) == brute_compositions(n, d)
+    # The whole canonical order: lexicographically descending.
+    for n in range(5):
+        for d in range(7):
+            assert enumerate_compositions(n, d) == sorted(brute_compositions(n, d), reverse=True)
 
 
 def test_partition_enumeration():

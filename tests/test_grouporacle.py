@@ -1,14 +1,20 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from symkron import symfunc
-from symkron.combinat import Partition, count_standard_tableaux, enumerate_partitions
+from symkron import grouporacle, symfunc
+from symkron.combinat import (
+    Partition,
+    centralizer_order,
+    count_standard_tableaux,
+    enumerate_partitions,
+)
 from symkron.contingency import decompose_permutation_tensor
-from symkron.errors import BudgetExceededError, DegreeMismatchError
+from symkron.errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 from symkron.grouporacle import (
     CharacterVector,
     act,
@@ -20,6 +26,7 @@ from symkron.grouporacle import (
     cycle_type_data,
     enumerate_tuples,
     identity_perm,
+    perm_sign,
     permutation_character,
     representative_permutation,
     specht_character,
@@ -65,6 +72,16 @@ def test_cycle_type_and_representatives():
             assert cycle_type(representative_permutation(rho)) == rho
 
 
+def test_sign_and_class_sizes_counted_on_the_group():
+    for d in range(7):
+        perms = list(itertools.permutations(range(1, d + 1)))
+        for sigma in perms:
+            inversions = sum(1 for a, b in itertools.combinations(sigma, 2) if a > b)
+            assert perm_sign(sigma) == (-1) ** inversions
+        sizes = {rho: math.factorial(d) // centralizer_order(rho) for rho in enumerate_partitions(d)}
+        assert Counter(cycle_type(sigma) for sigma in perms) == sizes
+
+
 def test_cycle_type_data():
     data = cycle_type_data(3)
     assert data.class_size == {(3,): 2, (2, 1): 3, (1, 1, 1): 1}
@@ -83,11 +100,24 @@ def test_tensor_orbit_examples():
     assert tensor_orbit_decompose((), ()) == {(): 1}
 
 
-def test_tensor_orbit_budget():
-    with pytest.raises(BudgetExceededError):
-        tensor_orbit_decompose((2, 1), (1, 1, 1), max_pairs=5)
+def test_tensor_orbit_budget(monkeypatch):
+    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "5")
+    with pytest.raises(BudgetExceededError, match="18 basis pairs exceed the cap of 5"):
+        tensor_orbit_decompose((2, 1), (1, 1, 1))
     with pytest.raises(DegreeMismatchError):
         tensor_orbit_decompose((2,), (1,))
+
+
+def test_tensor_orbit_checks_every_orbit(monkeypatch):
+    # With (1 2) acting as the identity, the orbits come out too small.
+    real = grouporacle.act
+
+    def broken(sigma, i):
+        return i if sigma == (2, 1, 3) else real(sigma, i)
+
+    monkeypatch.setattr(grouporacle, "act", broken)
+    with pytest.raises(InternalConsistencyError):
+        tensor_orbit_decompose((2, 1), (2, 1))
 
 
 def test_tensor_orbit_matches_margin_rule():
@@ -247,8 +277,8 @@ def test_specht_generator_rank_examples():
     assert specht_generator_rank((4,)) == 1
     assert specht_generator_rank((1, 1)) == 1
     assert specht_generator_rank((2, 1)) == 2
-    with pytest.raises(BudgetExceededError):
-        specht_generator_rank((2, 1), max_group=2)
+    with pytest.raises(BudgetExceededError, match="cap of 40320"):
+        specht_generator_rank((9,))
 
 
 def test_specht_generator_rank_matches_tableau_count():
