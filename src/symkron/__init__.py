@@ -32,14 +32,12 @@ from .errors import (
 )
 from .grouporacle import (
     CharacterVector,
-    CycleTypeData,
     act,
     character_scalar_product,
     character_table,
     characteristic_map,
     compose,
     cycle_type,
-    cycle_type_data,
     enumerate_tuples,
     jacobi_trudi,
     jacobi_trudi_dual,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 budget exceeded.  Every command accepts ``--format text|json``.
-Budget defaults can be overridden with the environment variables
-``SYMKRON_MAX_PAIRS`` and ``SYMKRON_MAX_VERIFY_DEGREE``.
+The budgets are the module constants ``grouporacle.MAX_ORBIT_PAIRS``,
+``grouporacle.MAX_GROUP_ORDER``, ``contingency.MAX_LISTED_MATRICES`` and
+``verify.MAX_VERIFY_DEGREE``.
 """
 
 from __future__ import annotations

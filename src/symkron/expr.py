@@ -247,8 +247,8 @@ def _eval(node: Node) -> dict[int, symfunc.SymFunc]:
                     _merge(out, symfunc.multiply(f, g), 1)
             return out
         if node.op == "#":
-            f = _single(left, "#")
-            g = _single(right, "#")
+            f = _single(left, "'#' needs homogeneous operands")
+            g = _single(right, "'#' needs homogeneous operands")
             if f.degree != g.degree:
                 raise DegreeMismatchError(
                     f"'#' needs equal degrees, got {f.degree} and {g.degree}"
@@ -258,33 +258,26 @@ def _eval(node: Node) -> dict[int, symfunc.SymFunc]:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _single(comps: dict[int, symfunc.SymFunc], op: str) -> symfunc.SymFunc:
+def _single(comps: dict[int, symfunc.SymFunc], mixed: str) -> symfunc.SymFunc:
+    """The one nonzero component, or the first if all cancel, keeping its degree.
+
+    ``mixed`` is the error message for several nonzero components, formatted
+    with their sorted degrees.
+    """
     nonzero = {d: f for d, f in comps.items() if not f.is_zero()}
     if len(nonzero) > 1:
-        raise DegreeMismatchError(f"{op!r} needs homogeneous operands")
-    if nonzero:
-        return next(iter(nonzero.values()))
-    if comps:
-        return next(iter(comps.values()))
-    return symfunc.SymFunc("h", 0, {})
+        raise DegreeMismatchError(mixed.format(sorted(nonzero)))
+    return next(iter((nonzero or comps).values()))
 
 
 def evaluate(node: Node, basis: str | None = None) -> symfunc.SymFunc:
     """Evaluate to a single homogeneous value, optionally converting.
 
     Mixed-degree results raise; the CLI exposes them separately as formal
-    sums of homogeneous components.
+    sums of homogeneous components.  A value that cancels to zero keeps the
+    degree and basis of the expression.
     """
-    comps = evaluate_components(node)
-    if len(comps) > 1:
-        degrees = sorted(comps)
-        raise DegreeMismatchError(
-            f"result mixes degrees {degrees}; request a formal sum instead"
-        )
-    if comps:
-        result = next(iter(comps.values()))
-    else:
-        result = symfunc.SymFunc(basis or "h", 0, {})
+    result = _single(_eval(node), "result mixes degrees {}; request a formal sum instead")
     if basis is not None:
         result = symfunc.convert(result, basis)
     return result

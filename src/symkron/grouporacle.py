@@ -20,20 +20,17 @@ images, composition is ``(sigma tau)(t) = sigma(tau(t))``, and the place
 action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 ``act(tau, act(sigma, i)) == act(compose(sigma, tau), i)``.
 
-Orbit enumeration refuses inputs beyond a configurable cap (environment
-override ``SYMKRON_MAX_PAIRS``, read at each call by :func:`env_cap`), and
-permutation characters and the Specht-generator rank refuse more than 8!
-tuples or group elements; this layer exists for desk-scale verification,
-not production counting.
+Orbit enumeration refuses more than :data:`MAX_ORBIT_PAIRS` basis pairs
+(:func:`_check_orbit_pairs`), and permutation characters and the
+Specht-generator rank refuse more than 8! tuples or group elements; this
+layer exists for desk-scale verification, not production counting.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -50,29 +47,11 @@ from .combinat import (
 )
 from .errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 
-DEFAULT_MAX_ORBIT_PAIRS = 200000
-DEFAULT_MAX_GROUP_ORDER = math.factorial(8)
+MAX_ORBIT_PAIRS = 200000
+MAX_GROUP_ORDER = math.factorial(8)
 
 IndexTuple = tuple[int, ...]
 Perm = tuple[int, ...]
-
-
-def env_cap(name: str, default: int) -> int:
-    """Budget cap from the environment variable ``name``, or ``default`` if unset.
-
-    Raises ``ValueError`` naming the variable unless its value is a positive
-    integer.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return value
 
 
 # -- permutations ------------------------------------------------------------
@@ -168,6 +147,15 @@ def _overlap_matrix(i: IndexTuple, j: IndexTuple, m: int, n: int) -> tuple[tuple
     return tuple(tuple(row) for row in mat)
 
 
+def _check_orbit_pairs(lam: Composition, mu: Composition) -> None:
+    """Refuse a pair of modules with more than :data:`MAX_ORBIT_PAIRS` basis pairs."""
+    n_pairs = multinomial(lam.degree, lam) * multinomial(mu.degree, mu)
+    if n_pairs > MAX_ORBIT_PAIRS:
+        raise BudgetExceededError(
+            f"{n_pairs} basis pairs exceed the cap of {MAX_ORBIT_PAIRS}"
+        )
+
+
 def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partition, int]:
     """Decompose a tensor product of permutation modules by explicit orbits.
 
@@ -184,12 +172,7 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
             f"margins have different totals: {lam.degree} and {mu.degree}"
         )
     d = lam.degree
-    cap = env_cap("SYMKRON_MAX_PAIRS", DEFAULT_MAX_ORBIT_PAIRS)
-    n_pairs = multinomial(d, lam) * multinomial(d, mu)
-    if n_pairs > cap:
-        raise BudgetExceededError(
-            f"{n_pairs} basis pairs exceed the cap of {cap}"
-        )
+    _check_orbit_pairs(lam, mu)
     left = enumerate_tuples(lam)
     right = enumerate_tuples(mu)
     m, n = len(lam), len(mu)
@@ -278,27 +261,6 @@ class CharacterVector:
         return f"CharacterVector(degree={self.degree}, {{{body}}})"
 
 
-@dataclass(frozen=True, eq=True)
-class CycleTypeData:
-    """Class sizes and centralizer orders for every cycle type of one degree."""
-
-    degree: int
-    class_size: dict
-    centralizer_order: dict
-
-
-@lru_cache(maxsize=None)
-def cycle_type_data(d: int) -> CycleTypeData:
-    class_size = {}
-    centralizer = {}
-    for rho in enumerate_partitions(d):
-        centralizer[rho] = centralizer_order(rho)
-        class_size[rho] = math.factorial(d) // centralizer[rho]
-    if sum(class_size.values()) != math.factorial(d):
-        raise InternalConsistencyError("class sizes do not partition the group")
-    return CycleTypeData(d, class_size, centralizer)
-
-
 @lru_cache(maxsize=None)
 def _perm_char(lam: Composition) -> CharacterVector:
     d = lam.degree
@@ -317,9 +279,9 @@ def permutation_character(lam: Iterable[int]) -> CharacterVector:
     """
     lam = Composition(lam)
     n_tuples = multinomial(lam.degree, lam)
-    if n_tuples > DEFAULT_MAX_GROUP_ORDER:
+    if n_tuples > MAX_GROUP_ORDER:
         raise BudgetExceededError(
-            f"{n_tuples} basis tuples exceed the cap of {DEFAULT_MAX_GROUP_ORDER}"
+            f"{n_tuples} basis tuples exceed the cap of {MAX_GROUP_ORDER}"
         )
     return _perm_char(lam)
 
@@ -332,13 +294,12 @@ def character_scalar_product(phi: CharacterVector, psi: CharacterVector) -> Frac
     """
     if phi.degree != psi.degree:
         raise DegreeMismatchError("scalar product needs equal degrees")
-    d = phi.degree
-    data = cycle_type_data(d)
+    order = math.factorial(phi.degree)
     total = sum(
-        Fraction(data.class_size[rho]) * phi(rho) * psi(rho)
-        for rho in enumerate_partitions(d)
+        order // centralizer_order(rho) * phi(rho) * psi(rho)
+        for rho in enumerate_partitions(phi.degree)
     )
-    return total / math.factorial(d)
+    return Fraction(total, order)
 
 
 @lru_cache(maxsize=None)
@@ -354,12 +315,12 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     order exceeds the permutation-character cap is refused before any work.
     """
     order = math.factorial(d)
-    if order > DEFAULT_MAX_GROUP_ORDER:
+    if order > MAX_GROUP_ORDER:
         raise BudgetExceededError(
-            f"{order} basis tuples exceed the cap of {DEFAULT_MAX_GROUP_ORDER}"
+            f"{order} basis tuples exceed the cap of {MAX_GROUP_ORDER}"
         )
     parts = enumerate_partitions(d)
-    sizes = [cycle_type_data(d).class_size[rho] for rho in parts]
+    sizes = [order // centralizer_order(rho) for rho in parts]
     rows: list[tuple[int, ...]] = []
     for mu in parts:
         perm = permutation_character(mu).values.values()
@@ -388,10 +349,7 @@ def characteristic_map(phi: CharacterVector) -> symfunc.SymFunc:
     The coefficient of the power sum at a cycle type is the character value
     divided by the centralizer order.
     """
-    data = cycle_type_data(phi.degree)
-    terms = {
-        rho: Fraction(value, data.centralizer_order[rho]) for rho, value in phi.items()
-    }
+    terms = {rho: Fraction(value, centralizer_order(rho)) for rho, value in phi.items()}
     return symfunc.SymFunc("p", phi.degree, terms)
 
 
@@ -467,9 +425,9 @@ def specht_generator_rank(lam: Iterable[int]) -> int:
     lam = Partition(lam)
     d = lam.degree
     order = math.factorial(d)
-    if order > DEFAULT_MAX_GROUP_ORDER:
+    if order > MAX_GROUP_ORDER:
         raise BudgetExceededError(
-            f"group order {order} exceeds the cap of {DEFAULT_MAX_GROUP_ORDER}"
+            f"group order {order} exceeds the cap of {MAX_GROUP_ORDER}"
         )
     base = _column_word(lam)
     generator: dict[IndexTuple, int] = {}

@@ -22,8 +22,10 @@ each other and reports one line per degree and identity family.  Suites:
 A suite is a generator of ``(check name, violations)`` pairs, one per check;
 an empty list of violations is a pass.  :func:`run_verify` alone turns them
 into :class:`Check` results, and it owns the degree cap
-(``SYMKRON_MAX_VERIFY_DEGREE``, default 8).  The oracle's own budgets are read
-where the oracle is called.
+:data:`MAX_VERIFY_DEGREE`.  The oracle's own budgets are checked where the
+oracle is called, except that ``monoidal`` checks the orbit-pair cap on every
+pair before its first orbit, so an oversized degree is refused before any
+work.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .contingency import decompose_permutation_tensor
 from .errors import BudgetExceededError
 from .kronecker import kronecker_h
 
-DEFAULT_MAX_VERIFY_DEGREE = 8
+MAX_VERIFY_DEGREE = 8
 
 
 @dataclass
@@ -54,6 +56,9 @@ def _pairs(d: int):
 
 
 def suite_monoidal(d: int, seed: int):
+    for e in range(d + 1):
+        for lam, mu in _pairs(e):
+            grouporacle._check_orbit_pairs(lam, mu)
     for e in range(d + 1):
         bad = []
         for lam, mu in _pairs(e):
@@ -198,18 +203,15 @@ SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_verify(suite: str, d: int, *, seed: int = 0) -> list[Check]:
-    """Run a named suite up to degree ``d`` and return its checks.
-
-    ``SYMKRON_MAX_VERIFY_DEGREE`` is read before anything else, so a malformed
-    value is reported ahead of a bad suite name or degree.
-    """
-    max_degree = grouporacle.env_cap("SYMKRON_MAX_VERIFY_DEGREE", DEFAULT_MAX_VERIFY_DEGREE)
+    """Run a named suite up to degree ``d`` and return its checks."""
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d > max_degree:
-        raise BudgetExceededError(f"degree {d} exceeds the verification cap of {max_degree}")
+    if d > MAX_VERIFY_DEGREE:
+        raise BudgetExceededError(
+            f"degree {d} exceeds the verification cap of {MAX_VERIFY_DEGREE}"
+        )
     checks = []
     for func in _SUITE_FUNCS[suite]:
         label = "mismatched pairs" if func is suite_monoidal else "violations"

@@ -233,47 +233,51 @@ def test_degree_mismatch_margins(capsys):
     assert code == 2 and "totals" in err
 
 
-BUDGET_COMMANDS = {
-    "SYMKRON_MAX_PAIRS": ["decompose-perm", "--lambda", "2,1", "--mu", "1,1,1", "--oracle"],
-    "SYMKRON_MAX_VERIFY_DEGREE": ["verify", "--suite", "kostka", "--d", "3"],
-}
+ORACLE_COMMAND = ["decompose-perm", "--lambda", "2,1", "--mu", "1,1,1", "--oracle"]
 
 
-@pytest.mark.parametrize("name", sorted(BUDGET_COMMANDS))
-@pytest.mark.parametrize("value", ["x", "0", "-5", ""])
-def test_malformed_budget_variable_exits_2(capsys, monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    code, out, err = run_cli(capsys, *BUDGET_COMMANDS[name])
-    assert code == 2 and out == ""
-    assert err == f"error: {name} must be a positive integer, got {value!r}\n"
-
-
-def test_budget_variables_apply_when_valid(capsys, monkeypatch):
-    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "17")
-    code, _, err = run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_PAIRS"])
+def test_budget_caps_apply(capsys, monkeypatch):
+    monkeypatch.setattr(grouporacle, "MAX_ORBIT_PAIRS", 17)
+    code, _, err = run_cli(capsys, *ORACLE_COMMAND)
     assert code == 3 and "18 basis pairs exceed the cap of 17" in err
-    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "18")
-    assert run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_PAIRS"])[0] == 0
-    monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "2")
-    code, _, err = run_cli(capsys, *BUDGET_COMMANDS["SYMKRON_MAX_VERIFY_DEGREE"])
+    monkeypatch.setattr(grouporacle, "MAX_ORBIT_PAIRS", 18)
+    assert run_cli(capsys, *ORACLE_COMMAND)[0] == 0
+    monkeypatch.setattr(verify, "MAX_VERIFY_DEGREE", 2)
+    code, _, err = run_cli(capsys, "verify", "--suite", "kostka", "--d", "3")
     assert code == 3 and "cap of 2" in err
     with pytest.raises(BudgetExceededError, match="cap of 40320"):
         specht_generator_rank((9,))
 
 
 def test_library_verify_reads_the_degree_cap(monkeypatch):
-    monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "2")
+    monkeypatch.setattr(verify, "MAX_VERIFY_DEGREE", 2)
     with pytest.raises(BudgetExceededError, match="cap of 2"):
         run_verify("kostka", 3)
 
 
-def test_malformed_pair_cap_fails_only_suites_that_read_it(capsys, monkeypatch):
-    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "x")
-    code, out, err = run_cli(capsys, "verify", "--suite", "kostka", "--d", "3")
-    assert (code, err) == (0, "") and out.endswith("PASS kostka: 4 checks\n")
-    code, out, err = run_cli(capsys, "verify", "--suite", "monoidal", "--d", "1")
-    assert (code, out) == (2, "")
-    assert err == "error: SYMKRON_MAX_PAIRS must be a positive integer, got 'x'\n"
+def test_budget_environment_variables_are_ignored(capsys, monkeypatch):
+    for argv in (ORACLE_COMMAND, ["verify", "--suite", "monoidal", "--d", "3"]):
+        monkeypatch.delenv("SYMKRON_MAX_PAIRS", raising=False)
+        monkeypatch.delenv("SYMKRON_MAX_VERIFY_DEGREE", raising=False)
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setenv("SYMKRON_MAX_PAIRS", "1")
+        monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "x")
+        proc = subprocess.run(
+            [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.parametrize("suite", ["monoidal", "all"])
+def test_verify_refuses_oversized_monoidal_before_any_orbit(monkeypatch, suite):
+    def refuse(*args):
+        raise AssertionError("orbit enumeration started")
+
+    monkeypatch.setattr(grouporacle, "tensor_orbit_decompose", refuse)
+    with pytest.raises(BudgetExceededError) as exc:
+        run_verify(suite, 6)
+    assert str(exc.value) == "259200 basis pairs exceed the cap of 200000"
 
 
 def test_permutation_character_budget(capsys):
@@ -299,13 +303,3 @@ def test_matrix_listing_budget(capsys, monkeypatch):
         assert err == "error: 362880 margin matrices exceed the listing cap of 40320\n"
     code, out, _ = run_cli(capsys, "contingency", "--lambda", ones, "--mu", ones, "--count-only")
     assert (code, out) == (0, "362880\n")
-
-
-def test_malformed_budget_variables_do_not_break_import(monkeypatch):
-    for name in ("SYMKRON_MAX_PAIRS", "SYMKRON_MAX_GROUP", "SYMKRON_MAX_VERIFY_DEGREE"):
-        monkeypatch.setenv(name, "x")
-    argv = [sys.executable, "-m", "symkron.cli", "partitions", "--d", "2"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n1,1\n", "")
-    # Nothing reads SYMKRON_MAX_GROUP: the group-order cap is a fixed 8!.
-    assert specht_generator_rank((2, 1)) == 2

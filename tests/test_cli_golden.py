@@ -22,8 +22,8 @@ GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 BASES = ("m", "e", "h", "s", "p")
 SUITES = ("monoidal", "orthonormality", "kostka", "jacobi-trudi", "all")
 ONES_9 = ",".join("1" * 9)
-# argparse wraps its usage text to the terminal width; the budgets use defaults.
-ENV = {"COLUMNS": "80", "SYMKRON_MAX_PAIRS": None, "SYMKRON_MAX_VERIFY_DEGREE": None}
+# argparse wraps its usage text to the terminal width.
+COLUMNS = "80"
 
 
 def _pairs(max_d=4):
@@ -138,11 +138,7 @@ def record(argv: list[str]) -> list:
 
 @pytest.mark.parametrize("command", sorted(cases()))
 def test_cli_output_matches_golden(monkeypatch, command):
-    for name, value in ENV.items():
-        if value is None:
-            monkeypatch.delenv(name, raising=False)
-        else:
-            monkeypatch.setenv(name, value)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     golden = json.loads(GOLDEN.read_text())[command]
     assert [rec[0] for rec in golden] == cases()[command]
     for rec in golden:
@@ -150,11 +146,7 @@ def test_cli_output_matches_golden(monkeypatch, command):
 
 
 if __name__ == "__main__":
-    for name, value in ENV.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    os.environ["COLUMNS"] = COLUMNS
     data = {command: [record(argv) for argv in argvs] for command, argvs in cases().items()}
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = ",\n".join(

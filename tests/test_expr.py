@@ -69,6 +69,9 @@ def test_evaluate_examples():
     assert evaluate(parse("s[3] # s[3]")) == basis_element("s", (3,))
     assert evaluate(parse("2*s[2,1] - s[2,1]")) == basis_element("s", (2, 1))
     assert evaluate(parse("s[1] - s[1]")).is_zero()
+    # a value that cancels keeps its degree and basis
+    assert evaluate(parse("p[2] # p[1,1]")) == SymFunc("p", 2, {})
+    assert evaluate(parse("s[2] - s[2]")) == SymFunc("s", 2, {})
     assert evaluate(parse("s[] . h[2]"), "h") == basis_element("h", (2,))
 
 

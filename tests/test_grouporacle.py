@@ -23,7 +23,6 @@ from symkron.grouporacle import (
     characteristic_map,
     compose,
     cycle_type,
-    cycle_type_data,
     enumerate_tuples,
     identity_perm,
     perm_sign,
@@ -82,15 +81,18 @@ def test_sign_and_class_sizes_counted_on_the_group():
         assert Counter(cycle_type(sigma) for sigma in perms) == sizes
 
 
-def test_cycle_type_data():
-    data = cycle_type_data(3)
-    assert data.class_size == {(3,): 2, (2, 1): 3, (1, 1, 1): 1}
-    assert cycle_type_data(2).centralizer_order == {(2,): 2, (1, 1): 2}
+def test_centralizer_orders():
+    assert {rho: 6 // centralizer_order(rho) for rho in enumerate_partitions(3)} == {
+        (3,): 2, (2, 1): 3, (1, 1, 1): 1
+    }
+    assert {rho: centralizer_order(rho) for rho in enumerate_partitions(2)} == {
+        (2,): 2, (1, 1): 2
+    }
     for d in range(9):
-        data = cycle_type_data(d)
-        assert sum(data.class_size.values()) == math.factorial(d)
-        for rho, z in data.centralizer_order.items():
-            assert data.class_size[rho] * z == math.factorial(d)
+        sizes = [math.factorial(d) // centralizer_order(rho) for rho in enumerate_partitions(d)]
+        assert sum(sizes) == math.factorial(d)
+        for rho, size in zip(enumerate_partitions(d), sizes):
+            assert size * centralizer_order(rho) == math.factorial(d)
 
 
 def test_tensor_orbit_examples():
@@ -101,7 +103,7 @@ def test_tensor_orbit_examples():
 
 
 def test_tensor_orbit_budget(monkeypatch):
-    monkeypatch.setenv("SYMKRON_MAX_PAIRS", "5")
+    monkeypatch.setattr(grouporacle, "MAX_ORBIT_PAIRS", 5)
     with pytest.raises(BudgetExceededError, match="18 basis pairs exceed the cap of 5"):
         tensor_orbit_decompose((2, 1), (1, 1, 1))
     with pytest.raises(DegreeMismatchError):
