@@ -255,18 +255,30 @@ def test_library_verify_reads_the_degree_cap(monkeypatch):
         run_verify("kostka", 3)
 
 
-def test_budget_environment_variables_are_ignored(capsys, monkeypatch):
-    for argv in (ORACLE_COMMAND, ["verify", "--suite", "monoidal", "--d", "3"]):
-        monkeypatch.delenv("SYMKRON_MAX_PAIRS", raising=False)
-        monkeypatch.delenv("SYMKRON_MAX_VERIFY_DEGREE", raising=False)
+def test_malformed_budget_variables_do_not_break_import(capsys, monkeypatch):
+    # The caps are module constants: the SYMKRON_* variables are ignored.
+    for argv in (["partitions", "--d", "2"], ORACLE_COMMAND):
+        for name in ("SYMKRON_MAX_PAIRS", "SYMKRON_MAX_GROUP", "SYMKRON_MAX_VERIFY_DEGREE"):
+            monkeypatch.delenv(name, raising=False)
         expected = run_cli(capsys, *argv)
         assert expected[0] == 0
-        monkeypatch.setenv("SYMKRON_MAX_PAIRS", "1")
-        monkeypatch.setenv("SYMKRON_MAX_VERIFY_DEGREE", "x")
+        for name in ("SYMKRON_MAX_PAIRS", "SYMKRON_MAX_GROUP", "SYMKRON_MAX_VERIFY_DEGREE"):
+            monkeypatch.setenv(name, "x")
         proc = subprocess.run(
             [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=60
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert specht_generator_rank((2, 1)) == 2
+
+
+def test_malformed_pair_cap_fails_only_suites_that_read_it(capsys, monkeypatch):
+    # No suite reads SYMKRON_MAX_PAIRS any more, so a malformed or tiny value fails none.
+    for value in ("x", "1"):
+        monkeypatch.setenv("SYMKRON_MAX_PAIRS", value)
+        code, out, err = run_cli(capsys, "verify", "--suite", "kostka", "--d", "3")
+        assert (code, err) == (0, "") and out.endswith("PASS kostka: 4 checks\n")
+        code, out, err = run_cli(capsys, "verify", "--suite", "monoidal", "--d", "3")
+        assert (code, err) == (0, "") and "PASS monoidal" in out
 
 
 @pytest.mark.parametrize("suite", ["monoidal", "all"])
