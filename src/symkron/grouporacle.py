@@ -8,7 +8,11 @@ permutations, so it can cross-check the structural rules implemented in
   of each value, acted on by place permutation from the right;
 * tensor products of two such modules are decomposed by enumerating the
   orbits of basis pairs, and each orbit is checked against the value-overlap
-  matrix classification instead of assuming it;
+  matrix classification instead of assuming it.  The generators act on each
+  numbered tuple basis as index maps, built once per call through
+  :func:`act`; every member of an orbit must carry the same multiset of
+  value pairs as its start, and the orbit size must be the multinomial of
+  their overlap matrix;
 * characters are evaluated on one representative per cycle type, and the
   irreducible characters are recovered from the permutation characters by
   Gram-Schmidt, which checks the Murnaghan-Nakayama characters of symfunc;
@@ -20,19 +24,23 @@ images, composition is ``(sigma tau)(t) = sigma(tau(t))``, and the place
 action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 ``act(tau, act(sigma, i)) == act(compose(sigma, tau), i)``.
 
-Orbit enumeration refuses more than :data:`MAX_ORBIT_PAIRS` basis pairs
-(:func:`_check_orbit_pairs`), and permutation characters and the
-Specht-generator rank refuse more than 8! tuples or group elements; this
-layer exists for desk-scale verification, not production counting.
+Orbit enumeration refuses more than :data:`MAX_ORBIT_PAIRS` = 6!² basis
+pairs (:func:`_check_orbit_pairs`), so every pair of degree 6 fits, and
+permutation characters and the Specht-generator rank refuse more than 8!
+tuples or group elements; this layer exists for desk-scale verification,
+not production counting.  Permutation characters count fixed tuples one by
+one, moving each tuple with an ``itemgetter`` over the class
+representative's images.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from . import symfunc
@@ -47,7 +55,7 @@ from .combinat import (
 )
 from .errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 
-MAX_ORBIT_PAIRS = 200000
+MAX_ORBIT_PAIRS = math.factorial(6) ** 2
 MAX_GROUP_ORDER = math.factorial(8)
 
 IndexTuple = tuple[int, ...]
@@ -156,14 +164,28 @@ def _check_orbit_pairs(lam: Composition, mu: Composition) -> None:
         )
 
 
+def _index_maps(gens: list[Perm], basis: list[IndexTuple]) -> list[list[int]]:
+    """For each generator, the position in ``basis`` of ``act(g, t)`` for every ``t``."""
+    index = {t: k for k, t in enumerate(basis)}
+    try:
+        return [[index[act(g, t)] for t in basis] for g in gens]
+    except KeyError as exc:
+        raise InternalConsistencyError(
+            f"the place action leaves the basis at {exc.args[0]}"
+        ) from None
+
+
 def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partition, int]:
     """Decompose a tensor product of permutation modules by explicit orbits.
 
     The basis of the product is the set of tuple pairs; orbits under the
-    simultaneous place action are closed under adjacent transpositions.  For
+    simultaneous place action are closed under adjacent transpositions.  Each
+    transposition acts on each numbered tuple basis as an index map, built
+    once through :func:`act`, and orbits are walked on pairs of indices.  For
     every orbit this verifies, rather than assumes, that all members share
-    one value-overlap matrix and that the orbit size is the multinomial of
-    that matrix; the orbit's class is the matrix read row-major and sorted.
+    the multiset of value pairs ``zip(i, j)`` of its start (which is the
+    value-overlap matrix) and that the orbit size is the multinomial of that
+    matrix; the orbit's class is the matrix read row-major and sorted.
     """
     lam = Composition(lam)
     mu = Composition(mu)
@@ -175,37 +197,37 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
     _check_orbit_pairs(lam, mu)
     left = enumerate_tuples(lam)
     right = enumerate_tuples(mu)
-    m, n = len(lam), len(mu)
     # Adjacent transpositions generate the whole group.
     gens = []
     for k in range(d - 1):
         images = list(range(1, d + 1))
         images[k], images[k + 1] = images[k + 1], images[k]
         gens.append(tuple(images))
+    maps = list(zip(_index_maps(gens, left), _index_maps(gens, right)))
 
-    seen: set[tuple[IndexTuple, IndexTuple]] = set()
+    width = len(right)
+    seen = bytearray(len(left) * width)
     classes: Counter[Partition] = Counter()
-    for i0 in left:
-        for j0 in right:
-            start = (i0, j0)
-            if start in seen:
+    for a0, i0 in enumerate(left):
+        for b0, j0 in enumerate(right):
+            if seen[a0 * width + b0]:
                 continue
-            orbit = {start}
-            frontier = deque([start])
-            while frontier:
-                i, j = frontier.popleft()
-                for g in gens:
-                    nxt = (act(g, i), act(g, j))
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-            seen |= orbit
-            overlap = _overlap_matrix(i0, j0, m, n)
-            for i, j in orbit:
-                if _overlap_matrix(i, j, m, n) != overlap:
+            seen[a0 * width + b0] = 1
+            orbit = [(a0, b0)]
+            # The loop also visits the pairs appended while it runs.
+            for a, b in orbit:
+                for left_map, right_map in maps:
+                    na, nb = left_map[a], right_map[b]
+                    if not seen[na * width + nb]:
+                        seen[na * width + nb] = 1
+                        orbit.append((na, nb))
+            pairs = sorted(zip(i0, j0))
+            for a, b in orbit:
+                if sorted(zip(left[a], right[b])) != pairs:
                     raise InternalConsistencyError(
                         "orbit members disagree on the overlap matrix"
                     )
+            overlap = _overlap_matrix(i0, j0, len(lam), len(mu))
             flat = Composition(v for row in overlap for v in row)
             if len(orbit) != multinomial(d, flat):
                 raise InternalConsistencyError(
@@ -268,7 +290,9 @@ def _perm_char(lam: Composition) -> CharacterVector:
     values = {}
     for rho in enumerate_partitions(d):
         rep = representative_permutation(rho)
-        values[rho] = sum(1 for t in tuples if act(rep, t) == t)
+        # itemgetter() needs an index, and with one index it returns an entry.
+        moved = itemgetter(*(s - 1 for s in rep)) if d > 1 else partial(act, rep)
+        values[rho] = sum(1 for t in tuples if moved(t) == t)
     return CharacterVector(d, values)
 
 

@@ -113,11 +113,9 @@ def suite_kostka(d: int, seed: int):
                 bad.append(("character-table", tuple(lam)))
         for mu in table.partitions:
             perm = grouporacle.permutation_character(mu)
+            column = [table.kostka(lam, mu) for lam in table.partitions]
             for rho in table.partitions:
-                total = sum(
-                    table.kostka(lam, mu) * chi(rho)
-                    for lam, chi in zip(table.partitions, specht)
-                )
+                total = sum(k * chi(rho) for k, chi in zip(column, specht))
                 if total != perm(rho):
                     bad.append(("character", tuple(mu), tuple(rho)))
         yield f"kostka d={e}: diagonal, dominance support, transition, characters", bad

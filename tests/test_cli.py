@@ -288,8 +288,8 @@ def test_verify_refuses_oversized_monoidal_before_any_orbit(monkeypatch, suite):
 
     monkeypatch.setattr(grouporacle, "tensor_orbit_decompose", refuse)
     with pytest.raises(BudgetExceededError) as exc:
-        run_verify(suite, 6)
-    assert str(exc.value) == "259200 basis pairs exceed the cap of 200000"
+        run_verify(suite, 7)
+    assert str(exc.value) == "529200 basis pairs exceed the cap of 518400"
 
 
 def test_permutation_character_budget(capsys):

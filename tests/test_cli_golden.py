@@ -115,7 +115,7 @@ def cases() -> dict[str, list[list[str]]]:
             ["ch", "--kind", "perm", "--lambda", ONES_9],
             ["contingency", "--lambda", ONES_9, "--mu", ONES_9],
             ["decompose-perm", "--lambda", ONES_9, "--mu", ONES_9, "--show-matrices"],
-            ["decompose-perm", "--lambda", "1,1,1,1,1,1", "--mu", "1,1,1,1,1,1", "--oracle"],
+            ["decompose-perm", "--lambda", "4,2,1", "--mu", "1,1,1,1,1,1,1", "--oracle"],
             ["verify", "--suite", "kostka", "--d", "9"],
             ["verify", "--suite", "bogus", "--d", "1"],
             ["verify", "--suite", "kostka", "--d", "-1"],

@@ -122,12 +122,31 @@ def test_tensor_orbit_checks_every_orbit(monkeypatch):
         tensor_orbit_decompose((2, 1), (2, 1))
 
 
+def test_tensor_orbit_refuses_an_action_that_leaves_the_basis(monkeypatch):
+    # With (1 2) sending every tuple to a constant, the index maps cannot be built.
+    real = grouporacle.act
+
+    def broken(sigma, i):
+        return (9,) * len(i) if sigma == (2, 1, 3) else real(sigma, i)
+
+    monkeypatch.setattr(grouporacle, "act", broken)
+    with pytest.raises(InternalConsistencyError, match="leaves the basis"):
+        tensor_orbit_decompose((2, 1), (2, 1))
+
+
 def test_tensor_orbit_matches_margin_rule():
     for d in range(5):
         for lam in enumerate_partitions(d):
             for mu in enumerate_partitions(d):
                 assert tensor_orbit_decompose(lam, mu) == decompose_permutation_tensor(lam, mu)
-    for lam, mu in [((2, 0, 1), (1, 1, 1)), ((0, 2), (1, 1)), ((2, 2), (1, 2, 1))]:
+    # The last two are the largest pairs of degree 6: 259200 and 518400 (the cap) basis pairs.
+    for lam, mu in [
+        ((2, 0, 1), (1, 1, 1)),
+        ((0, 2), (1, 1)),
+        ((2, 2), (1, 2, 1)),
+        ((2, 1, 1, 1, 1), (1,) * 6),
+        ((1,) * 6, (1,) * 6),
+    ]:
         assert tensor_orbit_decompose(lam, mu) == decompose_permutation_tensor(lam, mu)
 
 
@@ -137,6 +156,12 @@ def test_permutation_character_examples():
         assert all(v == 1 for v in char.values.values())
     assert permutation_character((1, 1)).values == {(1, 1): 2, (2,): 0}
     assert permutation_character((2, 1)).values == {(1, 1, 1): 3, (2, 1): 1, (3,): 0}
+    # Degrees 0 and 1 have only the identity class.
+    assert permutation_character(()).values == {(): 1}
+    assert permutation_character((1,)).values == {(1,): 1}
+    regular = permutation_character((1,) * 8)
+    assert regular((1,) * 8) == math.factorial(8)
+    assert all(v == 0 for rho, v in regular.items() if rho != (1,) * 8)
 
 
 
