@@ -67,6 +67,17 @@ def sort_to_partition(parts: Iterable[int]) -> Partition:
     return Partition(sorted((p for p in c if p > 0), reverse=True))
 
 
+def _check_degrees(lam: Iterable[int], mu: Iterable[int]) -> tuple[Composition, Composition]:
+    """Two margins as compositions, refused unless they have the same total."""
+    lam = Composition(lam)
+    mu = Composition(mu)
+    if lam.degree != mu.degree:
+        raise DegreeMismatchError(
+            f"margins have different totals: {lam.degree} and {mu.degree}"
+        )
+    return lam, mu
+
+
 def enumerate_compositions(n: int, d: int) -> list[Composition]:
     """All compositions of ``d`` into ``n`` ordered parts, lex descending."""
     if n < 0 or d < 0:

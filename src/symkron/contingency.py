@@ -19,8 +19,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .combinat import Composition, Partition, _bounded_compositions, sort_to_partition
-from .errors import BudgetExceededError, DegreeMismatchError
+from .combinat import (
+    Composition,
+    Partition,
+    _bounded_compositions,
+    _check_degrees,
+    sort_to_partition,
+)
+from .errors import BudgetExceededError
 
 # The same 8! as the permutation-character cap: 1^8 x 1^8 still lists.
 MAX_LISTED_MATRICES = math.factorial(8)
@@ -43,10 +49,11 @@ class ContingencyMatrix:
                 raise ValueError("column count does not match col_sums")
             if sum(row) != self.row_sums[i]:
                 raise ValueError(f"row {i} sums to {sum(row)}, expected {self.row_sums[i]}")
-        for j in range(n):
-            col = sum(row[j] for row in self.rows)
-            if col != self.col_sums[j]:
-                raise ValueError(f"column {j} sums to {col}, expected {self.col_sums[j]}")
+        # The zero row keeps every column when there are no rows.
+        cols = map(sum, zip((0,) * n, *self.rows))
+        for j, (col, want) in enumerate(zip(cols, self.col_sums)):
+            if col != want:
+                raise ValueError(f"column {j} sums to {col}, expected {want}")
 
     def as_composition(self) -> Composition:
         """Row-major reading of the entries."""
@@ -62,16 +69,6 @@ class ContingencyMatrix:
             "row_sums": list(self.row_sums),
             "col_sums": list(self.col_sums),
         }
-
-
-def _check_degrees(lam: Iterable[int], mu: Iterable[int]) -> tuple[Composition, Composition]:
-    lam = Composition(lam)
-    mu = Composition(mu)
-    if lam.degree != mu.degree:
-        raise DegreeMismatchError(
-            f"margins have different totals: {lam.degree} and {mu.degree}"
-        )
-    return lam, mu
 
 
 def contingency_matrices(lam: Iterable[int], mu: Iterable[int]) -> list[ContingencyMatrix]:

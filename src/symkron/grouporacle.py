@@ -6,13 +6,15 @@ permutations, so it can cross-check the structural rules implemented in
 
 * permutation modules are spanned by tuples with a prescribed multiplicity
   of each value, acted on by place permutation from the right;
-* tensor products of two such modules are decomposed by enumerating the
-  orbits of basis pairs, and each orbit is checked against the value-overlap
-  matrix classification instead of assuming it.  The generators act on each
-  numbered tuple basis as index maps, built once per call through
-  :func:`act`; every member of an orbit must carry the same multiset of
-  value pairs as its start, and the orbit size must be the multinomial of
-  their overlap matrix;
+* orbits are walked one way, by closing explicit tuples or vectors under
+  the adjacent transpositions through :func:`act`, never by scanning a group;
+* tensor products of two such modules are decomposed into the orbits of
+  basis pairs, walked on index maps of the generators; every member of an
+  orbit must carry the same multiset of value pairs as its start, and the
+  orbit size must be the multinomial of their overlap matrix;
+* Specht ranks: the signed column sum is the closure of the column word
+  under the transpositions inside each column, and its orbit the closure of
+  that vector under all of them, up to sign;
 * characters are evaluated on one representative per cycle type, and the
   irreducible characters are recovered from the permutation characters by
   Gram-Schmidt, which checks the Murnaghan-Nakayama characters of symfunc;
@@ -26,9 +28,10 @@ action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 
 Orbit enumeration refuses more than :data:`MAX_ORBIT_PAIRS` = 6!² basis
 pairs (:func:`_check_orbit_pairs`), so every pair of degree 6 fits, and
-permutation characters and the Specht-generator rank refuse more than 8!
-tuples or group elements; this layer exists for desk-scale verification,
-not production counting.  Permutation characters count fixed tuples one by
+permutation characters, the Specht-generator rank and the Jacobi-Trudi
+determinants refuse more than 8! tuples, group elements or determinant
+terms; this layer exists for desk-scale verification, not production
+counting.  Permutation characters count fixed tuples one by
 one, moving each tuple with an ``itemgetter`` over the class
 representative's images.
 """
@@ -47,6 +50,7 @@ from . import symfunc
 from .combinat import (
     Composition,
     Partition,
+    _check_degrees,
     centralizer_order,
     conjugate,
     enumerate_partitions,
@@ -125,34 +129,26 @@ def act(sigma: Perm, i: IndexTuple) -> IndexTuple:
 
 
 def enumerate_tuples(lam: Iterable[int]) -> list[IndexTuple]:
-    """All tuples with ``lam[l-1]`` entries equal to ``l``, lexicographic order."""
-    lam = Composition(lam)
-    counts = [(value, count) for value, count in enumerate(lam, start=1) if count]
-    out: list[IndexTuple] = []
-    prefix: list[int] = []
+    """All tuples with ``lam[l-1]`` entries equal to ``l``, lexicographic order.
 
-    def walk(remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for k, (value, count) in enumerate(counts):
-            if count:
-                counts[k] = (value, count - 1)
-                prefix.append(value)
-                walk(remaining - 1)
-                prefix.pop()
-                counts[k] = (value, count)
-
-    walk(lam.degree)
-    return out
-
-
-def _overlap_matrix(i: IndexTuple, j: IndexTuple, m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry (s, t) counts positions carrying value s+1 in ``i`` and t+1 in ``j``."""
-    mat = [[0] * n for _ in range(m)]
-    for a, b in zip(i, j):
-        mat[a - 1][b - 1] += 1
-    return tuple(tuple(row) for row in mat)
+    Starts from the sorted word and steps to the lexicographic successor:
+    swap the last ascent with the last larger entry, then reverse the tail.
+    """
+    word = [value for value, count in enumerate(Composition(lam), start=1) for _ in range(count)]
+    out = [tuple(word)]
+    n = len(word)
+    while True:
+        k = n - 2
+        while k >= 0 and word[k] >= word[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        last = n - 1
+        while word[last] <= word[k]:
+            last -= 1
+        word[k], word[last] = word[last], word[k]
+        word[k + 1 :] = word[:k:-1]
+        out.append(tuple(word))
 
 
 def _check_orbit_pairs(lam: Composition, mu: Composition) -> None:
@@ -162,6 +158,11 @@ def _check_orbit_pairs(lam: Composition, mu: Composition) -> None:
         raise BudgetExceededError(
             f"{n_pairs} basis pairs exceed the cap of {MAX_ORBIT_PAIRS}"
         )
+
+
+def _adjacent_transpositions(d: int) -> list[Perm]:
+    """The transpositions ``(k, k+1)`` for k = 1..d-1, which generate the whole group."""
+    return [(*range(1, k), k + 1, k, *range(k + 2, d + 1)) for k in range(1, d)]
 
 
 def _index_maps(gens: list[Perm], basis: list[IndexTuple]) -> list[list[int]]:
@@ -185,24 +186,14 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
     every orbit this verifies, rather than assumes, that all members share
     the multiset of value pairs ``zip(i, j)`` of its start (which is the
     value-overlap matrix) and that the orbit size is the multinomial of that
-    matrix; the orbit's class is the matrix read row-major and sorted.
+    matrix; the orbit's class is the matrix's nonzero entries, sorted.
     """
-    lam = Composition(lam)
-    mu = Composition(mu)
-    if lam.degree != mu.degree:
-        raise DegreeMismatchError(
-            f"margins have different totals: {lam.degree} and {mu.degree}"
-        )
+    lam, mu = _check_degrees(lam, mu)
     d = lam.degree
     _check_orbit_pairs(lam, mu)
     left = enumerate_tuples(lam)
     right = enumerate_tuples(mu)
-    # Adjacent transpositions generate the whole group.
-    gens = []
-    for k in range(d - 1):
-        images = list(range(1, d + 1))
-        images[k], images[k + 1] = images[k + 1], images[k]
-        gens.append(tuple(images))
+    gens = _adjacent_transpositions(d)
     maps = list(zip(_index_maps(gens, left), _index_maps(gens, right)))
 
     width = len(right)
@@ -227,13 +218,13 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
                     raise InternalConsistencyError(
                         "orbit members disagree on the overlap matrix"
                     )
-            overlap = _overlap_matrix(i0, j0, len(lam), len(mu))
-            flat = Composition(v for row in overlap for v in row)
-            if len(orbit) != multinomial(d, flat):
+            # The nonzero overlap-matrix entries, row-major.
+            overlap = tuple(Counter(pairs).values())
+            if len(orbit) != multinomial(d, overlap):
                 raise InternalConsistencyError(
-                    f"orbit size {len(orbit)} differs from multinomial of {tuple(flat)}"
+                    f"orbit size {len(orbit)} differs from multinomial of {overlap}"
                 )
-            classes[sort_to_partition(flat)] += 1
+            classes[sort_to_partition(overlap)] += 1
     return {p: classes[p] for p in sorted(classes, reverse=True)}
 
 
@@ -385,9 +376,15 @@ def _det_expansion(parts: tuple[int, ...]) -> dict[Partition, int]:
     """Signed expansion of ``det(x_{parts[i] - i + j})`` with x_0 = 1, x_{<0} = 0.
 
     Each permutation contributes its sign on the sorted tuple of positive
-    indices; the result maps partitions to integer coefficients.
+    indices; the result maps partitions to integer coefficients.  Refuses
+    more than 8! permutations before any work.
     """
     n = len(parts)
+    terms = math.factorial(n)
+    if terms > MAX_GROUP_ORDER:
+        raise BudgetExceededError(
+            f"{terms} determinant terms exceed the cap of {MAX_GROUP_ORDER}"
+        )
     acc: dict[Partition, int] = {}
     for perm in itertools.permutations(range(1, n + 1)):
         idx = [parts[i] - i + perm[i] - 1 for i in range(n)]
@@ -413,38 +410,16 @@ def jacobi_trudi_dual(lam: Iterable[int]) -> symfunc.SymFunc:
 # -- explicit Specht generators -----------------------------------------------
 
 
-def _column_word(lam: Partition) -> IndexTuple:
-    """Tuple whose consecutive blocks run 1..c for the conjugate part sizes c."""
-    out: list[int] = []
-    for c in conjugate(lam):
-        out.extend(range(1, c + 1))
-    return tuple(out)
-
-
-def _young_subgroup_signed(block_sizes: tuple[int, ...], d: int):
-    """Yield (permutation, sign) over the direct product of block permutations."""
-    offsets = []
-    start = 0
-    for size in block_sizes:
-        offsets.append((start, size))
-        start += size
-    pools = [list(itertools.permutations(range(size))) for _, size in offsets]
-    for choice in itertools.product(*pools):
-        images = list(range(1, d + 1))
-        sign = 1
-        for (start, size), local in zip(offsets, choice):
-            for t in range(size):
-                images[start + t] = start + local[t] + 1
-            sign *= perm_sign(tuple(x + 1 for x in local))
-        yield tuple(images), sign
-
-
 def specht_generator_rank(lam: Iterable[int]) -> int:
     """Rank of the span of the orbit of the signed column-symmetrized tuple.
 
-    Builds the alternating sum over the column Young subgroup applied to the
-    column word, pushes it around by every group element, and row reduces
-    over exact rationals.  Refuses group orders above 8! before any work.
+    The column word runs 1..c on each column block of c positions.  Closing
+    it under the transpositions inside each block, with the sign flipped at
+    each step, gives the alternating sum over the column group; the signs
+    are well defined because that group acts freely on the word.  Closing
+    this vector under all adjacent transpositions, up to sign, gives its
+    orbit, which is row reduced over exact rationals.  Refuses group orders
+    above 8! before any work.
     """
     lam = Partition(lam)
     d = lam.degree
@@ -453,24 +428,34 @@ def specht_generator_rank(lam: Iterable[int]) -> int:
         raise BudgetExceededError(
             f"group order {order} exceeds the cap of {MAX_GROUP_ORDER}"
         )
-    base = _column_word(lam)
-    generator: dict[IndexTuple, int] = {}
-    for sigma, sign in _young_subgroup_signed(tuple(conjugate(lam)), d):
-        moved = act(sigma, base)
-        generator[moved] = generator.get(moved, 0) + sign
-    generator = {t: c for t, c in generator.items() if c}
+    gens = _adjacent_transpositions(d)
+    word: list[int] = []
+    column_gens: list[Perm] = []
+    for c in conjugate(lam):
+        column_gens.extend(gens[len(word) : len(word) + c - 1])
+        word.extend(range(1, c + 1))
+    generator = {tuple(word): 1}
+    terms = [tuple(word)]
+    # The loops below also visit the entries appended while they run.
+    for t in terms:
+        for g in column_gens:
+            moved = act(g, t)
+            if moved not in generator:
+                generator[moved] = -generator[t]
+                terms.append(moved)
 
-    vectors = []
-    seen: set[frozenset] = set()
-    for pi in itertools.permutations(range(1, d + 1)):
-        moved = {act(pi, t): c for t, c in generator.items()}
-        anchor = min(moved)
-        if moved[anchor] < 0:
-            moved = {t: -c for t, c in moved.items()}
-        key = frozenset(moved.items())
-        if key not in seen:
-            seen.add(key)
-            vectors.append(moved)
+    # The column word is the least term, with coefficient 1: already normalized.
+    vectors = [generator]
+    seen = {frozenset(generator.items())}
+    for vec in vectors:
+        for g in gens:
+            moved = {act(g, t): c for t, c in vec.items()}
+            if moved[min(moved)] < 0:
+                moved = {t: -c for t, c in moved.items()}
+            key = frozenset(moved.items())
+            if key not in seen:
+                seen.add(key)
+                vectors.append(moved)
     return _rational_rank(vectors)
 
 

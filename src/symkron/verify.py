@@ -106,17 +106,19 @@ def suite_kostka(d: int, seed: int):
             for mu in table.partitions:
                 if in_s.coeff(mu) != table.kostka(mu, lam):
                     bad.append(("h-to-s", tuple(lam), tuple(mu)))
-        # Murnaghan-Nakayama characters, built once per degree for both checks.
-        specht = [grouporacle.specht_character(lam) for lam in table.partitions]
+        # Murnaghan-Nakayama characters, built once per degree for both checks,
+        # as rows of values in cycle-type order (the canonical partition order).
+        specht = [
+            tuple(grouporacle.specht_character(lam).values.values()) for lam in table.partitions
+        ]
         for lam, row, chi in zip(table.partitions, grouporacle.character_table(e), specht):
-            if list(row) != [chi(rho) for rho in table.partitions]:
+            if row != chi:
                 bad.append(("character-table", tuple(lam)))
-        for mu in table.partitions:
-            perm = grouporacle.permutation_character(mu)
-            column = [table.kostka(lam, mu) for lam in table.partitions]
-            for rho in table.partitions:
-                total = sum(k * chi(rho) for k, chi in zip(column, specht))
-                if total != perm(rho):
+        by_class = list(zip(*specht))
+        for mu, column in zip(table.partitions, zip(*table.matrix)):
+            perm = grouporacle.permutation_character(mu).values.values()
+            for rho, chis, value in zip(table.partitions, by_class, perm):
+                if sum(k * chi for k, chi in zip(column, chis)) != value:
                     bad.append(("character", tuple(mu), tuple(rho)))
         yield f"kostka d={e}: diagonal, dominance support, transition, characters", bad
 

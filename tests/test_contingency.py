@@ -45,6 +45,13 @@ def test_validation_and_errors():
         contingency_matrices((2, 1), (1, 1))
     with pytest.raises(ValueError):
         ContingencyMatrix(((1, 0), (0, 0)), (1, 1), (1, 0))
+    with pytest.raises(ValueError, match="row 1 sums to 0, expected 1"):
+        ContingencyMatrix(((1, 0), (0, 0)), (1, 1), (1, 1))
+    with pytest.raises(ValueError, match="column 0 sums to 2, expected 1"):
+        ContingencyMatrix(((1, 0), (1, 0)), (1, 1), (1, 1))
+    # With no rows every column still sums to 0.
+    with pytest.raises(ValueError, match="column 0 sums to 0, expected 1"):
+        ContingencyMatrix((), (), (1,))
 
 
 def test_matrix_helpers():

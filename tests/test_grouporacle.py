@@ -11,6 +11,7 @@ from symkron.combinat import (
     Partition,
     centralizer_order,
     count_standard_tableaux,
+    enumerate_compositions,
     enumerate_partitions,
 )
 from symkron.contingency import decompose_permutation_tensor
@@ -44,6 +45,14 @@ def test_enumerate_tuples_examples():
     assert enumerate_tuples(()) == [()]
     # zero parts skip their value but keep the labels of later parts
     assert enumerate_tuples((2, 0, 1)) == [(1, 1, 3), (1, 3, 1), (3, 1, 1)]
+
+
+def test_enumerate_tuples_matches_distinct_permutations():
+    for d in range(7):
+        for n in range(1, 5):
+            for lam in enumerate_compositions(n, d):
+                word = [v for v, count in enumerate(lam, start=1) for _ in range(count)]
+                assert enumerate_tuples(lam) == sorted(set(itertools.permutations(word)))
 
 
 def test_act_examples():
@@ -309,9 +318,9 @@ def test_specht_generator_rank_examples():
 
 
 def test_specht_generator_rank_matches_tableau_count():
-    for d in range(6):
-        for lam in enumerate_partitions(d):
-            assert specht_generator_rank(lam) == count_standard_tableaux(lam)
+    shapes = [lam for d in range(8) for lam in enumerate_partitions(d)]
+    for lam in shapes + [Partition((1,) * 8), Partition((2, 2, 2, 2))]:
+        assert specht_generator_rank(lam) == count_standard_tableaux(lam)
 
 
 def test_character_table_row_order():

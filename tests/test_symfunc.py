@@ -6,7 +6,7 @@ import pytest
 
 from symkron import grouporacle, symfunc
 from symkron.combinat import centralizer_order, enumerate_partitions
-from symkron.errors import DegreeMismatchError
+from symkron.errors import BudgetExceededError, DegreeMismatchError
 from symkron.grouporacle import jacobi_trudi, jacobi_trudi_dual
 from symkron.symfunc import (
     BASES,
@@ -89,6 +89,16 @@ def test_jacobi_trudi_examples():
     assert jacobi_trudi((1, 1)) == SymFunc("h", 2, {(1, 1): 1, (2,): -1})
     assert jacobi_trudi((2, 1)) == SymFunc("h", 3, {(2, 1): 1, (3,): -1})
     assert jacobi_trudi(()) == basis_element("h", ())
+
+
+def test_jacobi_trudi_refuses_more_than_8_factorial_terms():
+    # Nine parts: 9! permutations, refused before any is walked.
+    with pytest.raises(BudgetExceededError, match="362880 determinant terms exceed the cap of 40320"):
+        jacobi_trudi((1,) * 9)
+    with pytest.raises(BudgetExceededError, match="cap of 40320"):
+        jacobi_trudi_dual((9,))
+    # Eight parts, 8! permutations, is at the cap and still expands.
+    assert jacobi_trudi_dual((8,)) == convert(basis_element("s", (8,)), "e")
 
 
 def test_jacobi_trudi_matches_schur_conversion():
