@@ -2,7 +2,8 @@
 
 ``golden/cli.json`` maps each command to a list of ``[argv, exit code,
 stdout, stderr]`` records, covering text and JSON output at degrees up to 4
-and the exit-2 and exit-3 paths.  After an intended output change, re-record
+(characters and their images under ch up to 6) and the exit-2 and exit-3
+paths.  After an intended output change, re-record
 it with ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the
 diff of the data file.
 """
@@ -85,14 +86,16 @@ def cases() -> dict[str, list[list[str]]]:
            for i, x in enumerate(BASES)]
         + [["convert", "--expr", "2/3*s[2,2] - e[3] . h[1]", "--basis", "p"]],
         "character": [["character", "--kind", k, "--lambda", fmt(lam)]
-                      for k in ("perm", "specht") for d in range(5)
+                      for k in ("perm", "specht") for d in range(7)
                       for lam in enumerate_partitions(d)],
         "ch": [["ch", "--kind", k, "--lambda", fmt(lam)]
                for k in ("perm", "specht") for d in range(4) for lam in enumerate_partitions(d)]
         + [["ch", "--kind", k, "--lambda", lam]
            for k in ("perm", "specht") for lam in ("2,2", "2,1,1")]
         + [["ch", "--kind", k, "--lambda", "2,1", "--basis", b]
-           for k in ("perm", "specht") for b in BASES],
+           for k in ("perm", "specht") for b in BASES]
+        + [["ch", "--kind", k, "--lambda", fmt(lam)]
+           for k in ("perm", "specht") for d in (5, 6) for lam in enumerate_partitions(d)],
         "verify": [["verify", "--suite", s, "--d", "2"] for s in SUITES]
         + [["verify", "--suite", "all", "--d", "4", "--seed", "7"]],
         "errors": [
