@@ -31,18 +31,15 @@ from .errors import (
     InternalConsistencyError,
 )
 from .grouporacle import (
-    CharacterVector,
     act,
     character_scalar_product,
     character_table,
-    characteristic_map,
     compose,
     cycle_type,
     enumerate_tuples,
     jacobi_trudi,
     jacobi_trudi_dual,
     permutation_character,
-    specht_character,
     specht_generator_rank,
     tensor_orbit_decompose,
 )
@@ -52,9 +49,11 @@ from .symfunc import (
     SymFunc,
     basis_element,
     build_kostka_table,
+    characteristic_map,
     convert,
     multiply,
     scalar_product,
+    specht_character,
 )
 
 __version__ = "0.1.0"

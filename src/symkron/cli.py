@@ -153,26 +153,24 @@ def _eval_command(args) -> int:
     return 0
 
 
-def _character_for(kind: str, lam: Partition) -> grouporacle.CharacterVector:
+def _character_for(kind: str, lam: Partition) -> tuple[int, ...]:
     if kind == "perm":
         return grouporacle.permutation_character(lam)
-    return grouporacle.specht_character(lam)
+    return symfunc.specht_character(lam)
 
 
 def cmd_character(args) -> int:
     lam = Partition(parse_parts(args.lam))
-    char = _character_for(args.kind, lam)
-    lines = [f"{format_parts(rho)}: {value}" for rho, value in char.items()]
+    values = list(zip(enumerate_partitions(lam.degree), _character_for(args.kind, lam)))
+    lines = [f"{format_parts(rho)}: {value}" for rho, value in values]
     _emit(
         args,
         lines,
         {
             "kind": args.kind,
             "lambda": list(lam),
-            "degree": char.degree,
-            "values": [
-                {"cycle_type": list(rho), "value": value} for rho, value in char.items()
-            ],
+            "degree": lam.degree,
+            "values": [{"cycle_type": list(rho), "value": value} for rho, value in values],
         },
     )
     return 0
@@ -180,8 +178,7 @@ def cmd_character(args) -> int:
 
 def cmd_ch(args) -> int:
     lam = Partition(parse_parts(args.lam))
-    char = _character_for(args.kind, lam)
-    image = grouporacle.characteristic_map(char)
+    image = symfunc.characteristic_map(lam.degree, _character_for(args.kind, lam))
     if args.basis:
         image = symfunc.convert(image, args.basis)
     _emit(args, [image.render()], image.to_json_dict())

@@ -214,6 +214,20 @@ def centralizer_order(rho: Iterable[int]) -> int:
     return z
 
 
+@lru_cache(maxsize=None)
+def class_sizes(d: int) -> tuple[int, ...]:
+    """Conjugacy class sizes ``d!/z_rho`` of the degree-d symmetric group, in canonical order."""
+    order = math.factorial(d)
+    return tuple(order // centralizer_order(rho) for rho in enumerate_partitions(d))
+
+
+def _check_row(d: int, row: tuple[int, ...]) -> None:
+    """Refuse a character row unless it has one value per cycle type of degree ``d``."""
+    n = len(enumerate_partitions(d))
+    if len(row) != n:
+        raise DegreeMismatchError(f"a character of degree {d} has {n} values, got {len(row)}")
+
+
 def multinomial(d: int, parts: Iterable[int]) -> int:
     """d! divided by the factorials of the parts; the parts must sum to d."""
     parts = tuple(parts)

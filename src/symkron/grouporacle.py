@@ -15,9 +15,12 @@ permutations, so it can cross-check the structural rules implemented in
 * Specht ranks: the signed column sum is the closure of the column word
   under the transpositions inside each column, and its orbit the closure of
   that vector under all of them, up to sign;
-* characters are evaluated on one representative per cycle type, and the
-  irreducible characters are recovered from the permutation characters by
-  Gram-Schmidt, which checks the Murnaghan-Nakayama characters of symfunc;
+* a character is a tuple of values in canonical cycle-type order; the
+  permutation characters count fixed tuples under one representative per
+  class, and Gram-Schmidt over them gives the irreducible characters, which
+  checks the Murnaghan-Nakayama characters of symfunc.  The character route
+  to the internal product is :func:`permutation_character` through
+  :func:`symkron.symfunc.characteristic_map`;
 * Schur functions are expanded in the h and e bases by the Jacobi-Trudi
   determinants, which check the Kostka-table conversions of symfunc.
 
@@ -31,9 +34,7 @@ pairs (:func:`_check_orbit_pairs`), so every pair of degree 6 fits, and
 permutation characters, the Specht-generator rank and the Jacobi-Trudi
 determinants refuse more than 8! tuples, group elements or determinant
 terms; this layer exists for desk-scale verification, not production
-counting.  Permutation characters count fixed tuples one by
-one, moving each tuple with an ``itemgetter`` over the class
-representative's images.
+counting.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import symfunc
 from .combinat import (
     Composition,
     Partition,
     _check_degrees,
-    centralizer_order,
+    _check_row,
+    class_sizes,
     conjugate,
     enumerate_partitions,
     multinomial,
@@ -231,63 +233,20 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
 # -- characters ----------------------------------------------------------------
 
 
-class CharacterVector:
-    """Class function on the degree-d symmetric group, indexed by cycle type."""
-
-    __slots__ = ("degree", "values")
-
-    def __init__(self, degree: int, values: Mapping[Iterable[int], int]):
-        cycle_types = enumerate_partitions(degree)
-        vals = {Partition(k): v for k, v in values.items()}
-        if set(vals) != set(cycle_types):
-            raise ValueError("values must cover every cycle type exactly once")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", {rho: vals[rho] for rho in cycle_types})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacterVector is immutable")
-
-    def __call__(self, rho: Iterable[int]):
-        return self.values[Partition(rho)]
-
-    __getitem__ = __call__
-
-    def items(self):
-        return self.values.items()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CharacterVector):
-            return NotImplemented
-        return self.degree == other.degree and self.values == other.values
-
-    __hash__ = None
-
-    def __mul__(self, other: "CharacterVector") -> "CharacterVector":
-        if self.degree != other.degree:
-            raise DegreeMismatchError("pointwise product needs equal degrees")
-        return CharacterVector(
-            self.degree, {rho: v * other.values[rho] for rho, v in self.values.items()}
-        )
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{tuple(r)}: {v}" for r, v in self.values.items())
-        return f"CharacterVector(degree={self.degree}, {{{body}}})"
-
-
 @lru_cache(maxsize=None)
-def _perm_char(lam: Composition) -> CharacterVector:
+def _perm_char(lam: Composition) -> tuple[int, ...]:
     d = lam.degree
     tuples = enumerate_tuples(lam)
-    values = {}
+    row = []
     for rho in enumerate_partitions(d):
         rep = representative_permutation(rho)
         # itemgetter() needs an index, and with one index it returns an entry.
         moved = itemgetter(*(s - 1 for s in rep)) if d > 1 else partial(act, rep)
-        values[rho] = sum(1 for t in tuples if moved(t) == t)
-    return CharacterVector(d, values)
+        row.append(sum(1 for t in tuples if moved(t) == t))
+    return tuple(row)
 
 
-def permutation_character(lam: Iterable[int]) -> CharacterVector:
+def permutation_character(lam: Iterable[int]) -> tuple[int, ...]:
     """Character of the permutation module: fixed basis tuples per cycle type.
 
     Refuses modules with more than 8! basis tuples, before enumerating them.
@@ -301,20 +260,16 @@ def permutation_character(lam: Iterable[int]) -> CharacterVector:
     return _perm_char(lam)
 
 
-def character_scalar_product(phi: CharacterVector, psi: CharacterVector) -> Fraction:
-    """Group-averaged pairing, summed per cycle type with class sizes.
+def character_scalar_product(d: int, phi: tuple[int, ...], psi: tuple[int, ...]) -> Fraction:
+    """Group-averaged pairing of two degree-d rows, summed with the class sizes.
 
     Characters of a symmetric group are constant on inverse pairs, so the
     usual inverse in the second slot drops out.
     """
-    if phi.degree != psi.degree:
-        raise DegreeMismatchError("scalar product needs equal degrees")
-    order = math.factorial(phi.degree)
-    total = sum(
-        order // centralizer_order(rho) * phi(rho) * psi(rho)
-        for rho in enumerate_partitions(phi.degree)
-    )
-    return Fraction(total, order)
+    _check_row(d, phi)
+    _check_row(d, psi)
+    total = sum(z * a * b for z, a, b in zip(class_sizes(d), phi, psi))
+    return Fraction(total, math.factorial(d))
 
 
 @lru_cache(maxsize=None)
@@ -334,11 +289,10 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
         raise BudgetExceededError(
             f"{order} basis tuples exceed the cap of {MAX_GROUP_ORDER}"
         )
-    parts = enumerate_partitions(d)
-    sizes = [order // centralizer_order(rho) for rho in parts]
+    sizes = class_sizes(d)
     rows: list[tuple[int, ...]] = []
-    for mu in parts:
-        perm = permutation_character(mu).values.values()
+    for mu in enumerate_partitions(d):
+        perm = permutation_character(mu)
         row = list(perm)
         for chi in rows:
             mult, rest = divmod(sum(z * a * b for z, a, b in zip(sizes, perm, chi)), order)
@@ -349,23 +303,6 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
             raise InternalConsistencyError(f"row {tuple(mu)} is not an irreducible character")
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def specht_character(lam: Iterable[int]) -> CharacterVector:
-    """Irreducible character attached to a partition (Murnaghan-Nakayama rule)."""
-    lam = Partition(lam)
-    parts = enumerate_partitions(lam.degree)
-    return CharacterVector(lam.degree, {rho: symfunc.character_value(lam, rho) for rho in parts})
-
-
-def characteristic_map(phi: CharacterVector) -> symfunc.SymFunc:
-    """Image of a class function in the power-sum basis.
-
-    The coefficient of the power sum at a cycle type is the character value
-    divided by the centralizer order.
-    """
-    terms = {rho: Fraction(value, centralizer_order(rho)) for rho, value in phi.items()}
-    return symfunc.SymFunc("p", phi.degree, terms)
 
 
 # -- Jacobi-Trudi determinants ------------------------------------------------

@@ -3,8 +3,8 @@
 On complete symmetric functions the product is structural: the product of
 ``h_lam`` and ``h_mu`` is the sum of ``h`` terms over the margin-matrix
 decomposition of the corresponding permutation-module tensor product.  The
-character route in :mod:`symkron.grouporacle` stays independent so the two
-can verify each other.
+character route, ``symfunc.characteristic_map`` of pointwise products of
+``grouporacle.permutation_character``, stays independent: each checks the other.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ routed through the Schur basis:
 * ``p <-> s`` by the irreducible characters of the symmetric group, which
   :func:`character_value` computes by the Murnaghan-Nakayama rule.
 
+A character is a tuple of values in canonical cycle-type order, and
+:func:`characteristic_map` (ch) sends one to the p basis; the character route
+to the internal product is ``grouporacle.permutation_character`` through it.
 The Jacobi-Trudi determinants and the brute-force character table, second
 routes to the same tables, live in :mod:`symkron.grouporacle` as checks.
 
@@ -30,7 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .combinat import Partition, centralizer_order, conjugate, enumerate_partitions, kostka_column
+from .combinat import (
+    Partition, _check_row, centralizer_order, conjugate, enumerate_partitions, kostka_column
+)
 from .errors import DegreeMismatchError, InternalConsistencyError
 
 BASES = ("m", "e", "h", "p", "s")
@@ -52,7 +57,8 @@ class SymFunc:
             raise ValueError("degree must be nonnegative")
         clean: dict[Partition, Fraction] = {}
         for lam, coeff in terms.items():
-            lam = Partition(lam)
+            if type(lam) is not Partition:
+                lam = Partition(lam)
             if lam.degree != degree:
                 raise DegreeMismatchError(
                     f"term {tuple(lam)} has degree {lam.degree}, expected {degree}"
@@ -314,11 +320,27 @@ def _p_elem_to_s(rho: Partition) -> dict[Partition, int]:
 
 @lru_cache(maxsize=None)
 def _s_elem_to_p(lam: Partition) -> dict[Partition, Fraction]:
-    return {
-        rho: Fraction(chi, centralizer_order(rho))
-        for rho in enumerate_partitions(lam.degree)
-        if (chi := character_value(lam, rho))
+    return characteristic_map(lam.degree, specht_character(lam)).terms
+
+
+def specht_character(lam: Iterable[int]) -> tuple[int, ...]:
+    """Murnaghan-Nakayama character of a partition: one value per cycle type, canonical order."""
+    lam = Partition(lam)
+    return tuple(character_value(lam, rho) for rho in enumerate_partitions(lam.degree))
+
+
+def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
+    """Image of a degree-d character row in the power-sum basis.
+
+    The coefficient of the power sum at a cycle type is the character value
+    divided by the centralizer order.
+    """
+    _check_row(d, chi)
+    terms = {
+        rho: Fraction(value, centralizer_order(rho))
+        for rho, value in zip(enumerate_partitions(d), chi)
     }
+    return SymFunc("p", d, terms)
 
 
 _TO_S = {"m": _m_elem_to_s, "e": _e_elem_to_s, "h": _h_elem_to_s, "p": _p_elem_to_s}

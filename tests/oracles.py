@@ -113,10 +113,17 @@ def inverse_of(sigma):
 
 
 def brute_character_pairing(phi, psi, d):
-    """Group-averaged pairing summed over every single permutation."""
+    """Group-averaged pairing summed over every single permutation.
+
+    ``phi`` and ``psi`` are rows of values, one per cycle type, with the
+    cycle types in reverse lexicographic order.
+    """
+    position = {rho: k for k, rho in enumerate(sorted(brute_partitions(d), reverse=True))}
     total = Fraction(0)
     for sigma in all_perms(d):
-        total += Fraction(phi(cycle_type_of(sigma)) * psi(cycle_type_of(inverse_of(sigma))))
+        a = phi[position[cycle_type_of(sigma)]]
+        b = psi[position[cycle_type_of(inverse_of(sigma))]]
+        total += Fraction(a * b)
     return total / math.factorial(d)
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from symkron import grouporacle, verify
+from symkron import grouporacle, symfunc, verify
 from symkron.contingency import ContingencyMatrix
 from symkron.cli import main
 from symkron.errors import BudgetExceededError
@@ -194,13 +194,13 @@ def test_verify_all_reports_monoidal_mismatches(capsys, monkeypatch):
 
 def test_verify_kostka_builds_one_specht_row_per_partition(monkeypatch):
     calls = []
-    real = grouporacle.specht_character
+    real = symfunc.specht_character
 
     def counted(lam):
         calls.append(tuple(lam))
         return real(lam)
 
-    monkeypatch.setattr(grouporacle, "specht_character", counted)
+    monkeypatch.setattr(symfunc, "specht_character", counted)
     assert all(check.passed for check in run_verify("kostka", 5))
     assert len(calls) <= 19  # one per partition of each degree 0..5
 

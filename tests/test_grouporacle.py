@@ -1,8 +1,10 @@
+import ast
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from symkron import grouporacle, symfunc
 from symkron.combinat import (
     Partition,
     centralizer_order,
+    class_sizes,
     count_standard_tableaux,
     enumerate_compositions,
     enumerate_partitions,
@@ -17,11 +20,9 @@ from symkron.combinat import (
 from symkron.contingency import decompose_permutation_tensor
 from symkron.errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 from symkron.grouporacle import (
-    CharacterVector,
     act,
     character_scalar_product,
     character_table,
-    characteristic_map,
     compose,
     cycle_type,
     enumerate_tuples,
@@ -29,11 +30,16 @@ from symkron.grouporacle import (
     perm_sign,
     permutation_character,
     representative_permutation,
-    specht_character,
     specht_generator_rank,
     tensor_orbit_decompose,
 )
-from symkron.symfunc import basis_element, convert, scalar_product
+from symkron.symfunc import (
+    basis_element,
+    characteristic_map,
+    convert,
+    scalar_product,
+    specht_character,
+)
 
 from oracles import brute_character_pairing, inverse_of
 
@@ -97,9 +103,12 @@ def test_centralizer_orders():
     assert {rho: centralizer_order(rho) for rho in enumerate_partitions(2)} == {
         (2,): 2, (1, 1): 2
     }
+    assert class_sizes(3) == (2, 3, 1)
     for d in range(9):
         sizes = [math.factorial(d) // centralizer_order(rho) for rho in enumerate_partitions(d)]
         assert sum(sizes) == math.factorial(d)
+        assert class_sizes(d) == tuple(sizes)
+        assert sum(class_sizes(d)) == math.factorial(d)
         for rho, size in zip(enumerate_partitions(d), sizes):
             assert size * centralizer_order(rho) == math.factorial(d)
 
@@ -160,17 +169,17 @@ def test_tensor_orbit_matches_margin_rule():
 
 
 def test_permutation_character_examples():
+    # Rows run over the cycle types in canonical order: (d) first, 1^d last.
     for d in range(1, 5):
-        char = permutation_character((d,))
-        assert all(v == 1 for v in char.values.values())
-    assert permutation_character((1, 1)).values == {(1, 1): 2, (2,): 0}
-    assert permutation_character((2, 1)).values == {(1, 1, 1): 3, (2, 1): 1, (3,): 0}
+        assert all(v == 1 for v in permutation_character((d,)))
+    assert permutation_character((1, 1)) == (0, 2)
+    assert permutation_character((2, 1)) == (0, 1, 3)
     # Degrees 0 and 1 have only the identity class.
-    assert permutation_character(()).values == {(): 1}
-    assert permutation_character((1,)).values == {(1,): 1}
+    assert permutation_character(()) == (1,)
+    assert permutation_character((1,)) == (1,)
     regular = permutation_character((1,) * 8)
-    assert regular((1,) * 8) == math.factorial(8)
-    assert all(v == 0 for rho, v in regular.items() if rho != (1,) * 8)
+    assert regular[-1] == math.factorial(8)
+    assert all(v == 0 for v in regular[:-1])
 
 
 
@@ -192,32 +201,37 @@ def test_permutation_character_is_conjugation_invariant():
         for lam in enumerate_partitions(d):
             char = permutation_character(lam)
             tuples = enumerate_tuples(lam)
-            for rho in enumerate_partitions(d):
+            for rho, value in zip(enumerate_partitions(d), char):
                 rep = representative_permutation(rho)
                 pi = tuple(rng.sample(range(1, d + 1), d))
                 conj = compose(compose(pi, rep), inverse_of(pi))
                 assert cycle_type(conj) == rho
                 fixed = sum(1 for t in tuples if act(conj, t) == t)
-                assert fixed == char(rho)
+                assert fixed == value
 
 
-def test_character_vector_validation():
-    with pytest.raises(ValueError):
-        CharacterVector(2, {(2,): 1})
-    char = CharacterVector(2, {(2,): 0, (1, 1): 2})
-    assert char((2,)) == 0 and char[(1, 1)] == 2
-    with pytest.raises(DegreeMismatchError):
-        char * permutation_character((3,))
+def test_character_rows_refuse_a_degree_mismatch():
+    trivial3 = permutation_character((3,))
+    # Degrees 0 and 1 both have one class: the degree comes with the row.
+    assert characteristic_map(0, (1,)) == basis_element("p", ())
+    assert characteristic_map(1, (1,)) == basis_element("p", (1,))
+    for d, row in [(2, trivial3), (4, trivial3), (3, (1, 1)), (3, ())]:
+        with pytest.raises(DegreeMismatchError, match=f"a character of degree {d} has"):
+            characteristic_map(d, row)
+    with pytest.raises(DegreeMismatchError, match="degree 3 has 3 values, got 2"):
+        character_scalar_product(3, trivial3, permutation_character((2,)))
+    with pytest.raises(DegreeMismatchError, match="degree 2 has 2 values, got 3"):
+        character_scalar_product(2, trivial3, trivial3)
 
 
 def test_character_scalar_product_examples():
     trivial3 = permutation_character((3,))
-    assert character_scalar_product(trivial3, trivial3) == 1
+    assert character_scalar_product(3, trivial3, trivial3) == 1
     chi21 = specht_character((2, 1))
-    assert character_scalar_product(chi21, chi21) == 1
-    assert character_scalar_product(permutation_character((2, 1)), trivial3) == 1
+    assert character_scalar_product(3, chi21, chi21) == 1
+    assert character_scalar_product(3, permutation_character((2, 1)), trivial3) == 1
     with pytest.raises(DegreeMismatchError):
-        character_scalar_product(trivial3, permutation_character((2,)))
+        character_scalar_product(3, trivial3, permutation_character((2,)))
 
 
 def test_character_scalar_product_against_full_group_sum():
@@ -225,16 +239,16 @@ def test_character_scalar_product_against_full_group_sum():
         chars = [permutation_character(lam) for lam in enumerate_partitions(d)]
         chars += [specht_character(lam) for lam in enumerate_partitions(d)]
         for phi, psi in itertools.product(chars, repeat=2):
-            assert character_scalar_product(phi, psi) == brute_character_pairing(
+            assert character_scalar_product(d, phi, psi) == brute_character_pairing(
                 phi, psi, d
             )
 
 
 def test_specht_character_examples():
     for d in range(1, 6):
-        assert all(v == 1 for v in specht_character((d,)).values.values())
-    assert specht_character((1, 1)).values == {(1, 1): 1, (2,): -1}
-    assert specht_character((2, 1)).values == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
+        assert all(v == 1 for v in specht_character((d,)))
+    assert specht_character((1, 1)) == (-1, 1)
+    assert specht_character((2, 1)) == (-1, 0, 2)
 
 
 def test_specht_characters_are_orthonormal():
@@ -243,7 +257,7 @@ def test_specht_characters_are_orthonormal():
             for mu in enumerate_partitions(d):
                 expected = Fraction(1 if lam == mu else 0)
                 assert character_scalar_product(
-                    specht_character(lam), specht_character(mu)
+                    d, specht_character(lam), specht_character(mu)
                 ) == expected
 
 
@@ -254,49 +268,49 @@ def test_permutation_characters_decompose_with_tableau_counts():
         table = build_kostka_table(d)
         for mu in table.partitions:
             perm = permutation_character(mu)
-            for rho in table.partitions:
+            for k, value in enumerate(perm):
                 total = sum(
-                    table.kostka(lam, mu) * specht_character(lam)(rho)
+                    table.kostka(lam, mu) * specht_character(lam)[k]
                     for lam in table.partitions
                 )
-                assert total == perm(rho)
+                assert total == value
 
 
 def test_character_degrees_count_standard_tableaux():
     for d in range(1, 7):
-        identity_type = Partition((1,) * d)
+        identity = enumerate_partitions(d).index(Partition((1,) * d))
         for lam in enumerate_partitions(d):
-            assert specht_character(lam)(identity_type) == count_standard_tableaux(lam)
+            assert specht_character(lam)[identity] == count_standard_tableaux(lam)
 
 
 def test_product_of_permutation_characters_matches_orbits():
     for d in range(5):
         for lam in enumerate_partitions(d):
             for mu in enumerate_partitions(d):
-                product = permutation_character(lam) * permutation_character(mu)
+                phi, psi = permutation_character(lam), permutation_character(mu)
                 pieces = tensor_orbit_decompose(lam, mu)
-                for rho in enumerate_partitions(d):
+                for k, (a, b) in enumerate(zip(phi, psi)):
                     total = sum(
-                        mult * permutation_character(cls)(rho)
+                        mult * permutation_character(cls)[k]
                         for cls, mult in pieces.items()
                     )
-                    assert total == product(rho)
+                    assert total == a * b
 
 
 def test_characteristic_map_examples():
     for d in range(7):
-        image = characteristic_map(permutation_character((d,) if d else ()))
+        image = characteristic_map(d, permutation_character((d,) if d else ()))
         assert convert(image, "h") == basis_element("h", (d,) if d else ())
-    assert convert(characteristic_map(permutation_character((2, 1))), "h") == basis_element(
+    assert convert(characteristic_map(3, permutation_character((2, 1))), "h") == basis_element(
         "h", (2, 1)
     )
     for d in range(7):
         for lam in enumerate_partitions(d):
             assert convert(
-                characteristic_map(specht_character(lam)), "s"
+                characteristic_map(d, specht_character(lam)), "s"
             ) == basis_element("s", lam)
             assert convert(
-                characteristic_map(permutation_character(lam)), "h"
+                characteristic_map(d, permutation_character(lam)), "h"
             ) == basis_element("h", lam)
 
 
@@ -305,8 +319,8 @@ def test_characteristic_map_is_an_isometry():
         chars = [permutation_character(lam) for lam in enumerate_partitions(d)]
         for phi, psi in itertools.product(chars, repeat=2):
             assert scalar_product(
-                characteristic_map(phi), characteristic_map(psi)
-            ) == character_scalar_product(phi, psi)
+                characteristic_map(d, phi), characteristic_map(d, psi)
+            ) == character_scalar_product(d, phi, psi)
 
 
 def test_specht_generator_rank_examples():
@@ -362,3 +376,41 @@ def test_character_table_never_reads_the_kostka_table(monkeypatch):
     monkeypatch.setattr(symfunc, "build_kostka_table", forbidden)
     character_table.cache_clear()
     assert {d: character_table(d) for d in range(7)} == saved
+
+
+def test_the_oracle_shares_no_table_with_the_production_route():
+    # The verifier and the route under test share no table: the oracle names
+    # none of the production functions and reads only the SymFunc type from symfunc.
+    tree = ast.parse(Path(grouporacle.__file__).read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update((node.name, node.asname))
+        elif isinstance(node, ast.ImportFrom):
+            named.add(node.module)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.add(node.name)
+    production = {
+        "character_value",
+        "specht_character",
+        "characteristic_map",
+        "build_kostka_table",
+        "KostkaTable",
+        "kostka_column",
+        "contingency",
+        "decompose_permutation_tensor",
+        "kronecker",
+    }
+    assert not named & production
+    read_from_symfunc = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "symfunc"
+    }
+    assert read_from_symfunc == {"SymFunc"}

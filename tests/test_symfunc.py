@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symkron import grouporacle, symfunc
-from symkron.combinat import centralizer_order, enumerate_partitions
+from symkron.combinat import Partition, centralizer_order, enumerate_partitions
 from symkron.errors import BudgetExceededError, DegreeMismatchError
 from symkron.grouporacle import jacobi_trudi, jacobi_trudi_dual
 from symkron.symfunc import (
@@ -28,6 +28,10 @@ def test_symfunc_construction():
     assert f.coeff((2, 1)) == 2
     with pytest.raises(DegreeMismatchError):
         SymFunc("s", 3, {(2, 2): 1})
+    with pytest.raises(DegreeMismatchError):
+        SymFunc("s", 3, {Partition((2, 2)): 1})
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        SymFunc("s", 3, {(1, 2): 1})
     with pytest.raises(ValueError):
         SymFunc("x", 3, {})
     with pytest.raises(AttributeError):
@@ -135,7 +139,7 @@ def test_power_sum_conversions_never_reach_the_brute_force_characters(monkeypatc
         for lam in enumerate_partitions(d):
             convert(basis_element("p", lam), "s")
             convert(basis_element("s", lam), "p")
-            grouporacle.specht_character(lam)
+            symfunc.specht_character(lam)
 
 
 def test_character_value_needs_equal_degrees():
