@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 budget exceeded.  Every command accepts ``--format text|json``.
-The budgets are the module constants ``grouporacle.MAX_ORBIT_PAIRS``,
-``grouporacle.MAX_GROUP_ORDER``, ``contingency.MAX_LISTED_MATRICES`` and
-``verify.MAX_VERIFY_DEGREE``.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 3
+budget exceeded or an input too deep for Python's recursion limit.  Every
+command accepts ``--format text|json``.  The budgets are the module constants
+``grouporacle.MAX_ORBIT_PAIRS``, ``grouporacle.MAX_GROUP_ORDER``,
+``contingency.MAX_LISTED_MATRICES`` and ``verify.MAX_VERIFY_DEGREE``.
 """
 
 from __future__ import annotations
@@ -304,6 +304,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: input too deep for the recursion limit of {limit}", file=sys.stderr)
         return 3
     except ValueError as exc:  # parse errors, ExpressionError, DegreeMismatchError
         print(f"error: {exc}", file=sys.stderr)

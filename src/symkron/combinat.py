@@ -86,23 +86,31 @@ def enumerate_compositions(n: int, d: int) -> list[Composition]:
 
 
 def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` with entry ``j`` at most ``caps[j]``, lex descending."""
+    """Compositions of ``total`` with entry ``j`` at most ``caps[j]``, lex descending.
+
+    Each successor lowers the last entry that can pass one unit to the
+    entries after it and refills those greedily, so the walk keeps no stack.
+    """
     n = len(caps)
-    suffix = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + caps[k]
-
-    def walk(k: int, rem: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            if rem == 0:
-                yield prefix
+    row = [0] * n
+    start, rem = 0, total
+    while True:
+        for j in range(start, n):
+            row[j] = min(caps[j], rem)
+            rem -= row[j]
+        if rem:
             return
-        hi = min(caps[k], rem)
-        lo = max(0, rem - suffix[k + 1])
-        for v in range(hi, lo - 1, -1):
-            yield from walk(k + 1, rem - v, prefix + (v,))
-
-    return walk(0, total, ())
+        yield tuple(row)
+        room = 0  # rem and room are the sums of row[start:] and caps[start:]
+        for start in range(n, 0, -1):
+            if row[start - 1] and rem < room:
+                row[start - 1] -= 1
+                rem += 1
+                break
+            rem += row[start - 1]
+            room += caps[start - 1]
+        else:
+            return
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,7 @@ def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
             ab = a * b
             for nu, m in _kronecker_h(lam, mu).items():
                 acc[nu] = acc.get(nu, 0) + ab * m
-    return symfunc.SymFunc(f.basis, f.degree, symfunc._convert_terms("h", acc, f.basis))
+    return symfunc.SymFunc(f.basis, f.degree, symfunc._convert_terms(f.degree, "h", acc, f.basis))
 
 
 def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:

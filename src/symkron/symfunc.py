@@ -4,11 +4,11 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis:
 
-* ``h -> s`` by the columns of the tableau-count (Kostka) matrix, ``s -> h``
-  by the columns of its exact integer inverse;
-* ``m <-> s`` by the rows of the Kostka matrix and of its inverse;
-* ``e <-> s`` by the ``h`` tables composed with the involution omega, which
-  swaps ``h`` and ``e`` and conjugates Schur indices;
+* ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree, built
+  once from sparse tableau-count (Kostka) columns: ``h -> s`` reads the
+  columns, ``s -> h`` the columns of the exact integer inverse, ``m <-> s``
+  the rows of both, and ``e <-> s`` the ``h`` maps composed with the
+  involution omega, which swaps ``h`` and ``e`` and conjugates Schur indices;
 * ``p <-> s`` by the irreducible characters of the symmetric group, which
   :func:`character_value` computes by the Murnaghan-Nakayama rule.
 
@@ -176,108 +176,66 @@ def basis_element(basis: str, lam: Iterable[int]) -> SymFunc:
 
 
 class KostkaTable:
-    """Tableau-count transition matrix at one degree, with exact inverse.
+    """Sparse transitions between the h, m, e bases and s at one degree.
 
-    Rows and columns are indexed by the canonical partition list; the matrix
-    is unit upper triangular in that order and its inverse has integer
-    entries.  Column ``mu`` is :func:`symkron.combinat.kostka_column` of ``mu``.
+    ``to_s[b][lam]`` is the basis element ``b_lam`` in the s basis and
+    ``from_s[b][lam]`` is ``s_lam`` in the basis ``b``, each an
+    ``{partition: int}`` in canonical order; callers only read them.  Column
+    ``mu`` of the tableau-count (Kostka) matrix is
+    :func:`symkron.combinat.kostka_column` of ``mu``, that is ``h_mu`` in the
+    s basis.  The matrix is unit upper triangular in canonical order, so
+    ``s -> h`` is solved one column at a time in integers; every build
+    asserts the triangularity and that ``h -> s -> h`` is the identity.
     """
 
     def __init__(self, degree: int):
         parts = enumerate_partitions(degree)
-        n = len(parts)
-        index = {p: i for i, p in enumerate(parts)}
-        matrix = [[kostka_column(m).get(l, 0) for m in parts] for l in parts]
-        for i in range(n):
-            if matrix[i][i] != 1:
+        rank = {p: i for i, p in enumerate(parts)}
+        h_to_s: dict[Partition, dict] = {}  # column mu: h_mu in the s basis
+        s_to_h: dict[Partition, dict] = {}  # column mu of the inverse: s_mu in the h basis
+        for j, mu in enumerate(parts):
+            ranked = sorted((rank[lam], k) for lam, k in kostka_column(mu).items())
+            # A unit diagonal entry, and none after it.
+            if ranked[-1:] != [(j, 1)]:
                 raise InternalConsistencyError("tableau-count matrix is not unitriangular")
-            for j in range(i):
-                if matrix[i][j] != 0:
-                    raise InternalConsistencyError("tableau-count matrix is not triangular")
-        # Back substitution; entries stay integers because the diagonal is 1.
-        inverse = [[0] * n for _ in range(n)]
-        for i in range(n - 1, -1, -1):
-            inverse[i][i] = 1
-            for j in range(i + 1, n):
-                inverse[i][j] = -sum(matrix[i][k] * inverse[k][j] for k in range(i + 1, j + 1))
-        inverse_columns = list(zip(*inverse))
-        for i, row in enumerate(matrix):
-            for j, col in enumerate(inverse_columns):
-                check = sum(a * b for a, b in zip(row, col))
-                if check != (1 if i == j else 0):
-                    raise InternalConsistencyError("tableau-count inverse failed to verify")
+            # s_mu = h_mu - sum of K[nu][mu] s_nu over nu before mu, each already solved.
+            solved = _expand({parts[i]: -k for i, k in ranked[:-1]}, s_to_h.__getitem__)
+            solved[mu] = 1
+            h_to_s[mu] = {parts[i]: k for i, k in ranked}
+            s_to_h[mu] = {lam: solved[lam] for lam in sorted(solved, key=rank.get) if solved[lam]}
+        for mu, column in h_to_s.items():
+            if _nonzero(_expand(column, s_to_h.__getitem__)) != {mu: 1}:
+                raise InternalConsistencyError("tableau-count inverse failed to verify")
+        conj = {lam: parts[rank[conjugate(lam)]] for lam in parts}
         self.degree = degree
         self.partitions = parts
-        self.index = index
-        self.matrix = matrix
-        self.inverse = inverse
+        self.to_s = {
+            "h": h_to_s,
+            "m": _transpose(s_to_h),
+            "e": {mu: {conj[nu]: k for nu, k in col.items()} for mu, col in h_to_s.items()},
+        }
+        self.from_s = {
+            "h": s_to_h,
+            "m": _transpose(h_to_s),
+            "e": {lam: s_to_h[conj[lam]] for lam in parts},
+        }
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
-        return self.matrix[self.index[Partition(lam)]][self.index[Partition(mu)]]
+        return self.to_s["h"][Partition(mu)].get(Partition(lam), 0)
+
+
+def _transpose(columns: dict) -> dict:
+    """The rows of a square table given by its columns, both in canonical order."""
+    rows: dict = {p: {} for p in columns}
+    for mu, column in columns.items():
+        for lam, k in column.items():
+            rows[lam][mu] = k
+    return rows
 
 
 @lru_cache(maxsize=None)
 def build_kostka_table(d: int) -> KostkaTable:
     return KostkaTable(d)
-
-
-# ---------------------------------------------------------------------------
-# Single-element conversion tables.  Each helper returns a dict mapping
-# partitions to coefficients; callers must treat the returned dicts as
-# read-only since they are cached.
-
-
-@lru_cache(maxsize=None)
-def _h_elem_to_s(lam: Partition) -> dict[Partition, int]:
-    table = build_kostka_table(lam.degree)
-    col = table.index[lam]
-    return {
-        nu: table.matrix[i][col]
-        for i, nu in enumerate(table.partitions)
-        if table.matrix[i][col]
-    }
-
-
-@lru_cache(maxsize=None)
-def _s_elem_to_h(lam: Partition) -> dict[Partition, int]:
-    table = build_kostka_table(lam.degree)
-    col = table.index[lam]
-    return {
-        mu: table.inverse[i][col]
-        for i, mu in enumerate(table.partitions)
-        if table.inverse[i][col]
-    }
-
-
-@lru_cache(maxsize=None)
-def _e_elem_to_s(mu: Partition) -> dict[Partition, int]:
-    return {conjugate(nu): c for nu, c in _h_elem_to_s(mu).items()}
-
-
-def _s_elem_to_e(lam: Partition) -> dict[Partition, int]:
-    return _s_elem_to_h(conjugate(lam))
-
-
-@lru_cache(maxsize=None)
-def _m_elem_to_s(mu: Partition) -> dict[Partition, int]:
-    table = build_kostka_table(mu.degree)
-    row = table.index[mu]
-    return {
-        lam: table.inverse[row][j]
-        for j, lam in enumerate(table.partitions)
-        if table.inverse[row][j]
-    }
-
-
-@lru_cache(maxsize=None)
-def _s_elem_to_m(lam: Partition) -> dict[Partition, int]:
-    table = build_kostka_table(lam.degree)
-    row = table.index[lam]
-    return {
-        mu: table.matrix[row][j]
-        for j, mu in enumerate(table.partitions)
-        if table.matrix[row][j]
-    }
 
 
 @lru_cache(maxsize=None)
@@ -343,47 +301,51 @@ def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
     return SymFunc("p", d, terms)
 
 
-_TO_S = {"m": _m_elem_to_s, "e": _e_elem_to_s, "h": _h_elem_to_s, "p": _p_elem_to_s}
-_FROM_S = {"m": _s_elem_to_m, "e": _s_elem_to_e, "h": _s_elem_to_h, "p": _s_elem_to_p}
-
-
-def _convert_terms(basis: str, terms: Mapping[Partition, Fraction | int], target: str) -> dict:
-    """Re-expand ``basis`` terms in ``target``, through s, in exact arithmetic.
-
-    Sums start from the int 0, so integer inputs stay ints on the Kostka
-    paths and only the ``1/z_rho`` of s -> p or a rational input brings in a
-    ``Fraction``.  Zero coefficients are skipped on the way in and through
-    s and dropped from the result, so its keys are those, in the order,
-    that a ``SymFunc`` built on it would store.
-    """
-    if target == basis:
-        return {lam: c for lam, c in terms.items() if c}
-    if basis == "s":
-        mid = terms
-    else:
-        to_s = _TO_S[basis]
-        mid = {}
-        for lam, c in terms.items():
-            if not c:
-                continue
-            for nu, x in to_s(lam).items():
-                mid[nu] = mid.get(nu, 0) + c * x
-    if target == "s":
-        return {nu: c for nu, c in mid.items() if c}
-    from_s = _FROM_S[target]
+def _expand(terms: Mapping[Partition, Fraction | int], image) -> dict:
+    """Sum of ``c * image(lam)`` over the nonzero terms; zero sums are kept."""
     out: dict = {}
-    for nu, c in mid.items():
+    for lam, c in terms.items():
         if not c:
             continue
-        for lam, x in from_s(nu).items():
-            out[lam] = out.get(lam, 0) + c * x
-    return {lam: c for lam, c in out.items() if c}
+        for nu, x in image(lam).items():
+            out[nu] = out.get(nu, 0) + c * x
+    return out
+
+
+def _nonzero(terms: Mapping) -> dict:
+    return {lam: c for lam, c in terms.items() if c}
+
+
+def _convert_terms(
+    d: int, basis: str, terms: Mapping[Partition, Fraction | int], target: str
+) -> dict:
+    """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
+
+    h, m and e read the :class:`KostkaTable` of ``d``; p reads the characters
+    and builds no Kostka table.  Sums start from the int 0, so integer inputs
+    stay ints on the Kostka paths and only the ``1/z_rho`` of s -> p or a
+    rational input brings in a ``Fraction``.  Zero coefficients are skipped
+    on the way and dropped from the result, so its keys are those, in the
+    order, that a ``SymFunc`` built on it would store.
+    """
+    if target == basis:
+        return _nonzero(terms)
+    mid = terms
+    if basis == "p":
+        mid = _expand(terms, _p_elem_to_s)
+    elif basis != "s":
+        mid = _expand(terms, build_kostka_table(d).to_s[basis].__getitem__)
+    if target == "p":
+        return _nonzero(_expand(mid, _s_elem_to_p))
+    if target != "s":
+        return _nonzero(_expand(mid, build_kostka_table(d).from_s[target].__getitem__))
+    return _nonzero(mid)
 
 
 def _terms_in(f: SymFunc, target: str) -> dict:
     """``_convert_terms`` of ``f``, its integral coefficients read as ints."""
     terms = {lam: c.numerator if c.denominator == 1 else c for lam, c in f.terms.items()}
-    return _convert_terms(f.basis, terms, target)
+    return _convert_terms(f.degree, f.basis, terms, target)
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
@@ -408,7 +370,8 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
         for mu, b in gh.items():
             key = Partition(sorted(lam + mu, reverse=True))
             acc[key] = acc.get(key, 0) + a * b
-    return SymFunc(f.basis, f.degree + g.degree, _convert_terms("h", acc, f.basis))
+    d = f.degree + g.degree
+    return SymFunc(f.basis, d, _convert_terms(d, "h", acc, f.basis))
 
 
 def scalar_product(f: SymFunc, g: SymFunc) -> Fraction:

@@ -112,7 +112,8 @@ def suite_kostka(d: int, seed: int):
             if row != chi:
                 bad.append(("character-table", tuple(lam)))
         by_class = list(zip(*specht))
-        for mu, column in zip(table.partitions, zip(*table.matrix)):
+        for mu in table.partitions:
+            column = [table.kostka(lam, mu) for lam in table.partitions]
             perm = grouporacle.permutation_character(mu)
             for rho, chis, value in zip(table.partitions, by_class, perm):
                 if sum(k * chi for k, chi in zip(column, chis)) != value:

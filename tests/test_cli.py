@@ -228,6 +228,25 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_deep_inputs(capsys):
+    # Many parts: the composition walk keeps no stack.
+    code, out, _ = run_cli(capsys, "compositions", "--n", "1200", "--d", "1")
+    assert code == 0 and len(out.splitlines()) == 1200
+    # Many rows: every row is one level of recursion, so these are refused.
+    ones = ",".join("1" * 1100)
+    for argv in (
+        ["contingency", "--lambda", ones, "--mu", "1100", "--count-only"],
+        ["decompose-perm", "--lambda", ones, "--mu", "1100"],
+        ["kostka", "--shape", "1100", "--content", ones],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "recursion limit" in proc.stderr
+        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
 def test_degree_mismatch_margins(capsys):
     code, _, err = run_cli(capsys, "decompose-perm", "--lambda", "2,1", "--mu", "1,1")
     assert code == 2 and "totals" in err

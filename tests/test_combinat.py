@@ -55,6 +55,13 @@ def test_composition_counts_and_brute_force():
             assert enumerate_compositions(n, d) == sorted(brute_compositions(n, d), reverse=True)
 
 
+def test_compositions_of_many_parts_keep_no_stack():
+    # The walk's depth does not grow with the number of parts.
+    comps = enumerate_compositions(1500, 1)
+    assert len(comps) == 1500
+    assert comps[0] == (1,) + (0,) * 1499 and comps[-1] == (0,) * 1499 + (1,)
+
+
 def test_partition_enumeration():
     assert enumerate_partitions(0) == ((),)
     assert enumerate_partitions(2) == ((2,), (1, 1))

@@ -6,7 +6,7 @@ import pytest
 
 from symkron import grouporacle, symfunc
 from symkron.combinat import Partition, centralizer_order, enumerate_partitions
-from symkron.errors import BudgetExceededError, DegreeMismatchError
+from symkron.errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 from symkron.grouporacle import jacobi_trudi, jacobi_trudi_dual
 from symkron.symfunc import (
     BASES,
@@ -48,16 +48,38 @@ def test_basis_element_examples():
 def test_kostka_table_small():
     table = build_kostka_table(2)
     assert table.partitions == ((2,), (1, 1))
-    assert table.matrix == [[1, 1], [0, 1]]
-    assert table.inverse == [[1, -1], [0, 1]]
+    # The tableau-count matrix and its inverse at d=2, column by column.
+    assert table.to_s["h"] == {(2,): {(2,): 1}, (1, 1): {(2,): 1, (1, 1): 1}}
+    assert table.from_s["h"] == {(2,): {(2,): 1}, (1, 1): {(2,): -1, (1, 1): 1}}
     for d in range(7):
         table = build_kostka_table(d)
-        n = len(table.partitions)
-        for i in range(n):
-            assert table.matrix[i][i] == 1
-            for j in range(n):
-                prod = sum(table.matrix[i][k] * table.inverse[k][j] for k in range(n))
-                assert prod == (1 if i == j else 0)
+        for lam in table.partitions:
+            assert table.kostka(lam, lam) == 1
+            for basis in ("h", "m", "e"):
+                for there, back in (("to_s", "from_s"), ("from_s", "to_s")):
+                    total = {}
+                    for nu, c in getattr(table, there)[basis][lam].items():
+                        for mu, x in getattr(table, back)[basis][nu].items():
+                            total[mu] = total.get(mu, 0) + c * x
+                    assert {mu: c for mu, c in total.items() if c} == {lam: 1}
+
+
+def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
+    kostka_column = symfunc.kostka_column
+    corruptions = {
+        "diagonal 2": lambda col: {**col, (2, 1): 2},
+        "an entry after the diagonal": lambda col: {**col, (1, 1, 1): 1},
+    }
+    for what, corrupt in corruptions.items():
+        monkeypatch.setattr(
+            symfunc,
+            "kostka_column",
+            lambda mu: corrupt(kostka_column(mu)) if mu == (2, 1) else kostka_column(mu),
+        )
+        with pytest.raises(InternalConsistencyError, match="not unitriangular"):
+            symfunc.KostkaTable(3)
+    monkeypatch.undo()
+    assert symfunc.KostkaTable(3).kostka((3,), (2, 1)) == 1
 
 
 def test_conversion_examples():
