@@ -208,7 +208,63 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command: its handler, its help line and its arguments, flag -> options.
+_COMMANDS = {
+    "partitions": (cmd_partitions, "list partitions of d", {"--d": dict(type=int, required=True)}),
+    "compositions": (
+        cmd_compositions, "list compositions of d into n parts",
+        {"--n": dict(type=int, required=True), "--d": dict(type=int, required=True)},
+    ),
+    "kostka": (
+        cmd_kostka, "tableau count for a shape and content",
+        {"--shape": dict(required=True), "--content": dict(required=True)},
+    ),
+    "contingency": (
+        cmd_contingency, "matrices with given margins",
+        {"--lambda": dict(dest="lam", required=True), "--mu": dict(required=True),
+         "--count-only": dict(action="store_true")},
+    ),
+    "decompose-perm": (
+        cmd_decompose_perm, "decompose a tensor product of permutation modules",
+        {"--lambda": dict(dest="lam", required=True), "--mu": dict(required=True),
+         "--oracle": dict(action="store_true", help="cross-check with orbit enumeration"),
+         "--show-matrices": dict(action="store_true")},
+    ),
+    "kron": (
+        _eval_command, "evaluate an expression",
+        {"--expr": dict(required=True), "--basis": dict(choices=symfunc.BASES),
+         "--formal": dict(action="store_true", help="allow mixed-degree sums")},
+    ),
+    "convert": (
+        _eval_command, "evaluate and convert an expression",
+        {"--expr": dict(required=True), "--basis": dict(choices=symfunc.BASES, required=True),
+         "--formal": dict(action="store_true", help="allow mixed-degree sums")},
+    ),
+    "character": (
+        cmd_character, "character values by cycle type",
+        {"--kind": dict(choices=("perm", "specht"), required=True),
+         "--lambda": dict(dest="lam", required=True)},
+    ),
+    "ch": (
+        cmd_ch, "characteristic map of a character",
+        {"--kind": dict(choices=("perm", "specht"), required=True),
+         "--lambda": dict(dest="lam", required=True),
+         "--basis": dict(choices=symfunc.BASES, default="p")},
+    ),
+    "verify": (
+        cmd_verify, "run a verification suite",
+        {"--suite": dict(choices=verify.SUITES, required=True),
+         "--d": dict(type=int, required=True), "--seed": dict(type=int, default=0)},
+    ),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the subcommand that ``argv[0]`` names.
+
+    Every subcommand is added when ``argv[0]`` names none, so the top-level
+    help and usage list them all.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -220,84 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
         "decompositions, and Kronecker products.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("partitions", parents=[common], help="list partitions of d")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_partitions)
-
-    p = sub.add_parser(
-        "compositions", parents=[common], help="list compositions of d into n parts"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_compositions)
-
-    p = sub.add_parser(
-        "kostka", parents=[common], help="tableau count for a shape and content"
-    )
-    p.add_argument("--shape", required=True)
-    p.add_argument("--content", required=True)
-    p.set_defaults(func=cmd_kostka)
-
-    p = sub.add_parser(
-        "contingency", parents=[common], help="matrices with given margins"
-    )
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=cmd_contingency)
-
-    p = sub.add_parser(
-        "decompose-perm",
-        parents=[common],
-        help="decompose a tensor product of permutation modules",
-    )
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check with orbit enumeration")
-    p.add_argument("--show-matrices", action="store_true")
-    p.set_defaults(func=cmd_decompose_perm)
-
-    p = sub.add_parser("kron", parents=[common], help="evaluate an expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--basis", choices=symfunc.BASES)
-    p.add_argument("--formal", action="store_true", help="allow mixed-degree sums")
-    p.set_defaults(func=_eval_command)
-
-    p = sub.add_parser(
-        "convert", parents=[common], help="evaluate and convert an expression"
-    )
-    p.add_argument("--expr", required=True)
-    p.add_argument("--basis", choices=symfunc.BASES, required=True)
-    p.add_argument("--formal", action="store_true", help="allow mixed-degree sums")
-    p.set_defaults(func=_eval_command)
-
-    p = sub.add_parser("character", parents=[common], help="character values by cycle type")
-    p.add_argument("--kind", choices=("perm", "specht"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=cmd_character)
-
-    p = sub.add_parser(
-        "ch", parents=[common], help="characteristic map of a character"
-    )
-    p.add_argument("--kind", choices=("perm", "specht"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--basis", choices=symfunc.BASES, default="p")
-    p.set_defaults(func=cmd_ch)
-
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("--suite", choices=verify.SUITES, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        func, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args, extras = build_parser(argv).parse_known_args(argv)
+        if extras:
+            # The full parser reports them, its usage listing every command.
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

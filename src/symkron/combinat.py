@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from .errors import DegreeMismatchError
 

@@ -15,9 +15,9 @@ output is byte-stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .combinat import (
     Composition,
@@ -32,28 +32,28 @@ from .errors import BudgetExceededError
 MAX_LISTED_MATRICES = math.factorial(8)
 
 
-@dataclass(frozen=True)
-class ContingencyMatrix:
+class ContingencyMatrix(namedtuple("ContingencyMatrix", "rows row_sums col_sums")):
     """Matrix of nonnegative integers with fixed row and column sums."""
 
-    rows: tuple[tuple[int, ...], ...]
-    row_sums: Composition
-    col_sums: Composition
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.col_sums)
-        if len(self.rows) != len(self.row_sums):
+    def __new__(
+        cls, rows: tuple[tuple[int, ...], ...], row_sums: Composition, col_sums: Composition
+    ):
+        n = len(col_sums)
+        if len(rows) != len(row_sums):
             raise ValueError("row count does not match row_sums")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("column count does not match col_sums")
-            if sum(row) != self.row_sums[i]:
-                raise ValueError(f"row {i} sums to {sum(row)}, expected {self.row_sums[i]}")
+            if sum(row) != row_sums[i]:
+                raise ValueError(f"row {i} sums to {sum(row)}, expected {row_sums[i]}")
         # The zero row keeps every column when there are no rows.
-        cols = map(sum, zip((0,) * n, *self.rows))
-        for j, (col, want) in enumerate(zip(cols, self.col_sums)):
+        cols = map(sum, zip((0,) * n, *rows))
+        for j, (col, want) in enumerate(zip(cols, col_sums)):
             if col != want:
                 raise ValueError(f"column {j} sums to {col}, expected {want}")
+        return super().__new__(cls, rows, row_sums, col_sums)
 
     def as_composition(self) -> Composition:
         """Row-major reading of the entries."""

@@ -17,51 +17,28 @@ empty bracket pair denotes the degree-0 unit of its basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
 from . import symfunc
 from .combinat import Partition
 from .errors import DegreeMismatchError, ExpressionError
 from .kronecker import kronecker as _internal_product
 
-Node = Union["Atom", "Scale", "Neg", "BinOp"]
-
-
-@dataclass(frozen=True)
-class Atom:
-    basis: str
-    parts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: Fraction
-    inner: Node
-
-
-@dataclass(frozen=True)
-class Neg:
-    inner: Node
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - . #
-    left: Node
-    right: Node
-
+# A parse-tree node is one of the four immutable records below.
+Node = tuple
+Atom = namedtuple("Atom", "basis parts")
+Scale = namedtuple("Scale", "coeff inner")
+Neg = namedtuple("Neg", "inner")
+BinOp = namedtuple("BinOp", "op left right")  # op is one of + - . #
 
 _BASIS_CHARS = set(symfunc.BASES)
 _SYMBOLS = set("+-*/.#()[],")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT | BASIS | symbol
-    text: str
-    pos: int  # 1-based offset of the first character
+# kind is INT, BASIS or the symbol itself; pos is the 1-based offset of its
+# first character.
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:

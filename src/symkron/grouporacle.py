@@ -42,10 +42,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Iterable
 
 from . import symfunc
 from .combinat import (

@@ -9,8 +9,8 @@ character route, ``symfunc.characteristic_map`` of pointwise products of
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import symfunc
 from .combinat import Partition
@@ -20,7 +20,9 @@ from .errors import DegreeMismatchError, InternalConsistencyError
 
 @lru_cache(maxsize=None)
 def _kronecker_h(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    # The cached dict is shared: read it, never hand it out.
+    # Called with lam >= mu only: transposing a margin matrix keeps its class,
+    # so the two orders share one entry.  The cached dict is shared: read it,
+    # never hand it out.
     return decompose_permutation_tensor(lam, mu)
 
 
@@ -32,7 +34,8 @@ def kronecker_h(lam: Iterable[int], mu: Iterable[int]) -> symfunc.SymFunc:
         raise DegreeMismatchError(
             f"internal product needs equal degrees, got {lam.degree} and {mu.degree}"
         )
-    return symfunc.SymFunc("h", lam.degree, _kronecker_h(lam, mu))
+    pieces = _kronecker_h(lam, mu) if lam >= mu else _kronecker_h(mu, lam)
+    return symfunc.SymFunc("h", lam.degree, pieces)
 
 
 def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
@@ -52,7 +55,8 @@ def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
     for lam, a in fh.items():
         for mu, b in gh.items():
             ab = a * b
-            for nu, m in _kronecker_h(lam, mu).items():
+            pieces = _kronecker_h(lam, mu) if lam >= mu else _kronecker_h(mu, lam)
+            for nu, m in pieces.items():
                 acc[nu] = acc.get(nu, 0) + ab * m
     return symfunc.SymFunc(f.basis, f.degree, symfunc._convert_terms(f.degree, "h", acc, f.basis))
 

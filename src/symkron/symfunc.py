@@ -29,9 +29,9 @@ values are immutable; per-degree tables are built once and then only read.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 from .combinat import (
     Partition, _check_row, centralizer_order, conjugate, enumerate_partitions, kostka_column

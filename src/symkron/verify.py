@@ -31,7 +31,7 @@ work.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import grouporacle, symfunc
@@ -43,11 +43,7 @@ from .kronecker import kronecker_h
 MAX_VERIFY_DEGREE = 8
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+Check = namedtuple("Check", "name passed detail", defaults=("",))
 
 
 def _pairs(d: int):

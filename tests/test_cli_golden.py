@@ -124,6 +124,12 @@ def cases() -> dict[str, list[list[str]]]:
             ["verify", "--suite", "kostka", "--d", "-1"],
             ["kostka", "--shape", "2,1"],
             ["frobnicate"],
+            [],
+            ["-h"],
+            ["partitions", "-h"],
+            ["partitions", "--d", "3", "--bogus"],
+            ["partitions", "--d", "3", "extra"],
+            ["part", "--d", "2"],
         ],
     }
     return {

@@ -108,7 +108,7 @@ def test_decompose_examples():
 
 
 def test_decompose_symmetry_and_margin_sorting():
-    for d in range(6):
+    for d in range(8):
         for lam in enumerate_partitions(d):
             for mu in enumerate_partitions(d):
                 assert decompose_permutation_tensor(lam, mu) == decompose_permutation_tensor(mu, lam)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -15,6 +16,9 @@ from symkron.symfunc import (
     convert,
     specht_character,
 )
+
+# The package re-exports the function ``kronecker`` under the submodule's name.
+kronecker_module = importlib.import_module("symkron.kronecker")
 
 
 def test_kronecker_h_examples():
@@ -64,6 +68,15 @@ def test_kronecker_commutative():
                 f = basis_element("h", lam)
                 g = basis_element("h", mu)
                 assert kronecker(f, g) == kronecker(g, f)
+
+
+def test_kronecker_h_memo_holds_each_unordered_pair_once():
+    kronecker_module._kronecker_h.cache_clear()
+    parts = enumerate_partitions(5)
+    for lam, mu in itertools.product(parts, repeat=2):
+        kronecker(basis_element("s", lam), basis_element("s", mu))
+    size = kronecker_module._kronecker_h.cache_info().currsize
+    assert size == len(parts) * (len(parts) + 1) // 2 == 28
 
 
 def test_kronecker_associative():

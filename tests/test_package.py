@@ -1,0 +1,75 @@
+"""Package-wide properties: the value semantics of the record types and the import set."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from symkron.contingency import contingency_matrices
+from symkron.expr import Atom, BinOp
+from symkron.verify import Check
+
+
+def _records():
+    return [
+        (
+            lambda: Atom("s", (2, 1)),
+            "Atom(basis='s', parts=(2, 1))",
+            "parts",
+        ),
+        (
+            lambda: BinOp("#", Atom("s", (2, 1)), Atom("h", (1, 1, 1))),
+            "BinOp(op='#', left=Atom(basis='s', parts=(2, 1)), "
+            "right=Atom(basis='h', parts=(1, 1, 1)))",
+            "op",
+        ),
+        (
+            lambda: contingency_matrices((3, 1), (2, 1, 1))[0],
+            "ContingencyMatrix(rows=((2, 1, 0), (0, 0, 1)), row_sums=(3, 1), "
+            "col_sums=(2, 1, 1))",
+            "rows",
+        ),
+        (
+            lambda: Check("kostka d=2: x", True),
+            "Check(name='kostka d=2: x', passed=True, detail='')",
+            "passed",
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, text, field", _records(), ids=["Atom", "BinOp", "ContingencyMatrix", "Check"]
+)
+def test_records_are_immutable_values(make, text, field):
+    first, second = make(), make()
+    assert repr(first) == text
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        setattr(first, field, None)
+    assert repr(first) == text
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_stays_light_and_at_module_level():
+    # A fresh interpreter: pytest itself imports the modules checked for.
+    code = "import sys, symkron, symkron.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "symkron.cli" in loaded
+    assert not {"typing", "dataclasses", "inspect", "ast"} & set(loaded)
+    # An import inside a function would only move its cost into every call.
+    for path in sorted((SRC / "symkron").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(func):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                        f"{path.name}:{node.lineno} imports inside a function"
+                    )
