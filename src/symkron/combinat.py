@@ -189,24 +189,20 @@ def kostka_column(content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 
 def _strip_additions(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    """Shapes made by adding ``size`` boxes, no two in one column."""
+    """Shapes made by adding ``size`` boxes, no two in one column.
+
+    Row ``i`` grows by at most its overhang over row ``i - 1`` and the first
+    row by any amount, so the additions are the bounded compositions of
+    ``size`` under those caps, one per row and one for a new row.
+    """
     rows = shape + (0,)
-    out: list[tuple[int, ...]] = []
-
-    def walk(i: int, left: int, prefix: tuple[int, ...]) -> None:
-        if i == len(rows):
-            if not left:
-                out.append(tuple(p for p in prefix if p))
-            return
-        room = rows[i - 1] - rows[i] if i else left
-        for add in range(min(room, left), -1, -1):
-            walk(i + 1, left - add, prefix + (rows[i] + add,))
-
-    walk(0, size, ())
-    return out
+    caps = (size,) + tuple(a - b for a, b in zip(shape, rows[1:]))
+    return [
+        tuple([r + a for r, a in zip(rows, added) if r + a])
+        for added in _bounded_compositions(size, caps)
+    ]
 
 
-@lru_cache(maxsize=None)
 def count_standard_tableaux(lam: Partition) -> int:
     """Number of standard tableaux of the given shape."""
     lam = Partition(lam)

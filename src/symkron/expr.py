@@ -49,9 +49,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = k
-            while k < len(text) and text[k].isdigit():
+            while k < len(text) and text[k].isdecimal():
                 k += 1
             tokens.append(_Token("INT", text[start:k], start + 1))
             continue

@@ -68,6 +68,12 @@ IndexTuple = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
+def _refuse_above(cap: int, count: int, things: str) -> None:
+    """Refuse work on ``count`` of ``things`` when it is more than ``cap``."""
+    if count > cap:
+        raise BudgetExceededError(f"{count} {things} exceed the cap of {cap}")
+
+
 # -- permutations ------------------------------------------------------------
 
 
@@ -156,10 +162,7 @@ def enumerate_tuples(lam: Iterable[int]) -> list[IndexTuple]:
 def _check_orbit_pairs(lam: Composition, mu: Composition) -> None:
     """Refuse a pair of modules with more than :data:`MAX_ORBIT_PAIRS` basis pairs."""
     n_pairs = multinomial(lam.degree, lam) * multinomial(mu.degree, mu)
-    if n_pairs > MAX_ORBIT_PAIRS:
-        raise BudgetExceededError(
-            f"{n_pairs} basis pairs exceed the cap of {MAX_ORBIT_PAIRS}"
-        )
+    _refuse_above(MAX_ORBIT_PAIRS, n_pairs, "basis pairs")
 
 
 def _adjacent_transpositions(d: int) -> list[Perm]:
@@ -252,11 +255,7 @@ def permutation_character(lam: Iterable[int]) -> tuple[int, ...]:
     Refuses modules with more than 8! basis tuples, before enumerating them.
     """
     lam = Composition(lam)
-    n_tuples = multinomial(lam.degree, lam)
-    if n_tuples > MAX_GROUP_ORDER:
-        raise BudgetExceededError(
-            f"{n_tuples} basis tuples exceed the cap of {MAX_GROUP_ORDER}"
-        )
+    _refuse_above(MAX_GROUP_ORDER, multinomial(lam.degree, lam), "basis tuples")
     return _perm_char(lam)
 
 
@@ -285,10 +284,7 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     order exceeds the permutation-character cap is refused before any work.
     """
     order = math.factorial(d)
-    if order > MAX_GROUP_ORDER:
-        raise BudgetExceededError(
-            f"{order} basis tuples exceed the cap of {MAX_GROUP_ORDER}"
-        )
+    _refuse_above(MAX_GROUP_ORDER, order, "basis tuples")
     sizes = class_sizes(d)
     rows: list[tuple[int, ...]] = []
     for mu in enumerate_partitions(d):
@@ -317,11 +313,7 @@ def _det_expansion(parts: tuple[int, ...]) -> dict[Partition, int]:
     more than 8! permutations before any work.
     """
     n = len(parts)
-    terms = math.factorial(n)
-    if terms > MAX_GROUP_ORDER:
-        raise BudgetExceededError(
-            f"{terms} determinant terms exceed the cap of {MAX_GROUP_ORDER}"
-        )
+    _refuse_above(MAX_GROUP_ORDER, math.factorial(n), "determinant terms")
     acc: dict[Partition, int] = {}
     for perm in itertools.permutations(range(1, n + 1)):
         idx = [parts[i] - i + perm[i] - 1 for i in range(n)]

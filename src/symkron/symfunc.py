@@ -267,7 +267,6 @@ def character_value(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def _p_elem_to_s(rho: Partition) -> dict[Partition, int]:
     return {
         lam: chi
@@ -276,7 +275,6 @@ def _p_elem_to_s(rho: Partition) -> dict[Partition, int]:
     }
 
 
-@lru_cache(maxsize=None)
 def _s_elem_to_p(lam: Partition) -> dict[Partition, Fraction]:
     return characteristic_map(lam.degree, specht_character(lam)).terms
 

@@ -1,6 +1,7 @@
 """Package-wide properties: the value semantics of the record types and the import set."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -73,3 +74,38 @@ def test_import_stays_light_and_at_module_level():
                     assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                         f"{path.name}:{node.lineno} imports inside a function"
                     )
+
+
+# Each memo must be a table that some workload reads; a new one needs a reason.
+MEMOS = {
+    "combinat.class_sizes",
+    "combinat.enumerate_partitions",
+    "combinat.kostka_column",
+    "contingency._count_classes",
+    "contingency._count_tables",
+    "grouporacle._det_expansion",
+    "grouporacle._perm_char",
+    "grouporacle.character_table",
+    "kronecker._kronecker_h",
+    "symfunc.build_kostka_table",
+    "symfunc.character_value",
+}
+
+
+def test_memo_inventory():
+    found = set()
+    uses = 0
+    for path in sorted((SRC / "symkron").glob("*.py")):
+        module = importlib.import_module(f"symkron.{path.stem}")
+        found |= {
+            f"{path.stem}.{obj.__qualname__}"
+            for obj in vars(module).values()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+        }
+        # Counts memos nested in a function or class too, which vars() misses.
+        uses += sum(
+            isinstance(node, ast.Name) and node.id == "lru_cache"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    assert found == MEMOS
+    assert uses == len(MEMOS)

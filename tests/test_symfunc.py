@@ -34,8 +34,13 @@ def test_symfunc_construction():
         SymFunc("s", 3, {(1, 2): 1})
     with pytest.raises(ValueError):
         SymFunc("x", 3, {})
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        SymFunc("s", -1, {})
     with pytest.raises(AttributeError):
         f.degree = 4
+    # Equality with anything else is left to the other operand.
+    assert f.__eq__(f.terms) is NotImplemented
+    assert f != f.terms
 
 
 def test_basis_element_examples():
@@ -88,6 +93,8 @@ def test_conversion_examples():
         assert convert(basis_element("s", (d,)), "h") == basis_element("h", (d,))
     f = basis_element("p", (2, 1))
     assert convert(f, "p") == f
+    with pytest.raises(ValueError, match="unknown basis 'x'"):
+        convert(f, "x")
 
 
 def test_round_trips_all_basis_pairs():
@@ -282,6 +289,9 @@ def test_arithmetic_helpers():
     assert (f - f).is_zero()
     assert (2 * f).coeff((2,)) == 2
     assert (f * Fraction(1, 2)).coeff((2,)) == Fraction(1, 2)
+    # The product of two functions is the graded ring product, in the left basis.
+    assert basis_element("h", (1,)) * basis_element("s", (1,)) == basis_element("h", (1, 1))
+    assert g * f == SymFunc("s", 4, {(3, 1): 1, (2, 1, 1): 1})
     with pytest.raises(DegreeMismatchError):
         f + basis_element("s", (3,))
     with pytest.raises(ValueError):
@@ -293,6 +303,7 @@ def test_render():
     assert f.render() == "s[2,1] + 2*s[1,1,1]"
     g = SymFunc("h", 2, {(2,): -1, (1, 1): Fraction(1, 2)})
     assert g.render() == "-h[2] + 1/2*h[1,1]"
+    assert repr(g) == "SymFunc(-h[2] + 1/2*h[1,1])"
     assert SymFunc("m", 4, {}).render() == "0"
     assert basis_element("p", ()).render() == "p[]"
 

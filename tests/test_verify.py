@@ -1,0 +1,157 @@
+"""Every verify check can fail: corrupting the route it checks makes its line FAIL.
+
+Each case names a function that returns the ``(owner, name, corrupted
+function)`` to patch.  The test first runs the suite uncorrupted, which must
+pass and which fills every memo the suite reads, so the corrupted run cannot
+leave wrong entries in a table that later tests read.  Then it patches one
+route, runs the suite through the CLI and asserts the exact ``FAIL`` line
+and exit code 1.
+"""
+
+import itertools
+
+import pytest
+
+from symkron import grouporacle, symfunc, verify
+from symkron.cli import main
+
+
+def _bump(owner, name, when):
+    """Corrupt ``owner.name`` to return one more than it should when ``when(*args)``."""
+    real = getattr(owner, name)
+    return owner, name, lambda *args: real(*args) + (1 if when(*args) else 0)
+
+
+def _only(f, lam):
+    return f.terms.keys() == {lam}
+
+
+def _pairing(basis):
+    def when(f, g):
+        return f.basis == basis and _only(f, (2,)) and _only(g, (2,))
+
+    return _bump(symfunc, "scalar_product", when)
+
+
+def _diagonal():
+    return _bump(symfunc.KostkaTable, "kostka", lambda self, lam, mu: lam == mu == (2, 1))
+
+
+def _dominance():
+    real = verify.dominance_leq
+    flipped = ((1, 1, 1), (3,))
+    return verify, "dominance_leq", lambda mu, lam: real(mu, lam) != ((mu, lam) == flipped)
+
+
+def _h_to_s():
+    real = symfunc.convert
+    extra = symfunc.basis_element("s", (1, 1, 1))
+
+    def broken(f, target):
+        out = real(f, target)
+        return out + extra if _only(f, (2, 1)) and f.basis == "h" else out
+
+    return symfunc, "convert", broken
+
+
+def _permutation_character(lam, wrong):
+    real = grouporacle.permutation_character
+    return grouporacle, "permutation_character", lambda mu: wrong if tuple(mu) == lam else real(mu)
+
+
+def _jacobi_trudi():
+    real = grouporacle.jacobi_trudi_dual
+    return grouporacle, "jacobi_trudi_dual", lambda lam: -real(lam) if lam == (2, 1) else real(lam)
+
+
+def _specht():
+    real = symfunc.specht_character
+    return symfunc, "specht_character", lambda lam: (1, 1) if lam == (1, 1) else real(lam)
+
+
+def _isometry():
+    return _bump(grouporacle, "character_scalar_product", lambda d, phi, psi: phi == psi == (0, 2))
+
+
+def _kron_character():
+    real = verify.kronecker_h
+    return verify, "kronecker_h", lambda lam, mu: real(lam, lam) if lam != mu else real(lam, mu)
+
+
+def _first_composition():
+    real = grouporacle.compose
+    calls = itertools.count()
+    return grouporacle, "compose", lambda s, t: s if next(calls) == 0 else real(s, t)
+
+
+ORTHONORMALITY = "orthonormality d=2: <s,s> and <h,m> are identity pairings"
+KOSTKA = "kostka d=3: diagonal, dominance support, transition, characters"
+CASES = {
+    "s-pairing": (
+        lambda: _pairing("s"), "orthonormality", 2, 0,
+        f"FAIL {ORTHONORMALITY} [violations: [('s', (2,), (2,), '2')]]",
+    ),
+    "h-m-pairing": (
+        lambda: _pairing("h"), "orthonormality", 2, 0,
+        f"FAIL {ORTHONORMALITY} [violations: [('h/m', (2,), (2,), '2')]]",
+    ),
+    "diagonal": (
+        _diagonal, "kostka", 3, 0,
+        f"FAIL {KOSTKA} [violations: [('diagonal', (2, 1)), ('h-to-s', (2, 1), (2, 1)), "
+        "('character', (2, 1), (3,)), ('character', (2, 1), (1, 1, 1))]]",
+    ),
+    "dominance": (
+        _dominance, "kostka", 3, 0,
+        f"FAIL {KOSTKA} [violations: [('dominance', (3,), (1, 1, 1))]]",
+    ),
+    "h-to-s": (
+        _h_to_s, "kostka", 3, 0,
+        f"FAIL {KOSTKA} [violations: [('h-to-s', (2, 1), (1, 1, 1))]]",
+    ),
+    "permutation-character": (
+        lambda: _permutation_character((2, 1), (1, 1, 3)), "kostka", 3, 0,
+        f"FAIL {KOSTKA} [violations: [('character', (2, 1), (3,))]]",
+    ),
+    "jacobi-trudi": (
+        _jacobi_trudi, "jacobi-trudi", 3, 0,
+        "FAIL jacobi-trudi d=3: h determinant == conjugate e determinant "
+        "[violations: [(2, 1)]]",
+    ),
+    "specht-image": (
+        _specht, "all", 2, 0,
+        "FAIL characteristic d=2: dictionary images and isometry "
+        "[violations: [('specht', (1, 1))]]",
+    ),
+    "perm-image": (
+        lambda: _permutation_character((1, 1), (1, 1)), "all", 2, 0,
+        "FAIL characteristic d=2: dictionary images and isometry "
+        "[violations: [('perm', (1, 1))]]",
+    ),
+    "isometry": (
+        _isometry, "all", 2, 0,
+        "FAIL characteristic d=2: dictionary images and isometry "
+        "[violations: [('isometry', (1, 1), (1, 1))]]",
+    ),
+    "kron-character": (
+        _kron_character, "all", 2, 0,
+        "FAIL kron-character d=2: character route == margin-rule route "
+        "[violations: [((2,), (1, 1)), ((1, 1), (2,))]]",
+    ),
+    "random-action": (
+        _first_composition, "all", 2, 4,
+        "FAIL action d=2: 200 random composition-law triples (seed 4) "
+        "[violations: [((1, 2), (2, 1), (1, 2))]]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_corrupted_route_fails_its_check(capsys, monkeypatch, case):
+    corrupt, suite, d, seed, line = CASES[case]
+    assert all(check.passed for check in verify.run_verify(suite, d, seed=seed))
+    monkeypatch.setattr(*corrupt())
+    code = main(["verify", "--suite", suite, "--d", str(d), "--seed", str(seed)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert line in lines
+    assert lines[-1] == f"FAIL {suite}: {len(lines) - 1} checks"
