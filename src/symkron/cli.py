@@ -5,6 +5,9 @@ budget exceeded or an input too deep for Python's recursion limit.  Every
 command accepts ``--format text|json``.  The budgets are the module constants
 ``grouporacle.MAX_ORBIT_PAIRS``, ``grouporacle.MAX_GROUP_ORDER``,
 ``contingency.MAX_LISTED_MATRICES`` and ``verify.MAX_VERIFY_DEGREE``.
+
+A well-formed argument list is read straight from the ``_COMMANDS`` table;
+argparse parses the rest and writes all help, usage and error text.
 """
 
 from __future__ import annotations
@@ -259,16 +262,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: with only the subcommand that ``argv[0]`` names.
+# The option every command accepts, read by build_parser and _read_args alike.
+_FORMAT = {"--format": dict(choices=("text", "json"), default="text", help="output format")}
 
-    Every subcommand is added when ``argv[0]`` names none, so the top-level
-    help and usage list them all.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, for the argvs ``_read_args`` leaves."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    for flag, options in _FORMAT.items():
+        common.add_argument(flag, **options)
 
     parser = argparse.ArgumentParser(
         prog="symkron",
@@ -276,9 +278,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         "decompositions, and Kronecker products.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        func, help_text, arguments = _COMMANDS[name]
+    for name, (func, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, options in arguments.items():
             p.add_argument(flag, **options)
@@ -286,16 +286,56 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives a well-formed ``argv``.
+
+    Well-formed: a command, then only its exact flags and ``--format``, each
+    value flag followed by a value that does not start with ``-`` and passes
+    its ``type`` and ``choices``, and every required flag present.  Anything
+    else gives None and is argparse's to parse or refuse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    arguments = {**arguments, **_FORMAT}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = arguments.get(flag)
+        if options is None:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value counts as a dash-led one
+        if value.startswith("-"):
+            return None
+        if options.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    if any(options.get("required") and flag not in given for flag, options in arguments.items()):
+        return None
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, options in arguments.items():
+        default = options.get("default", False if options.get("action") == "store_true" else None)
+        setattr(args, options.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args, extras = build_parser(argv).parse_known_args(argv)
-        if extras:
-            # The full parser reports them, its usage listing every command.
+    args = _read_args(argv)
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except BudgetExceededError as exc:

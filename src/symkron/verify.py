@@ -166,7 +166,8 @@ def suite_kron_character(d: int, seed: int):
 
 def suite_random_action(d: int, seed: int):
     rng = random.Random(seed)
-    e = max(2, min(d, 6))
+    # At least S_3: S_2 is abelian and cannot tell compose(s, t) from compose(t, s).
+    e = max(3, min(d, 6))
     bad = []
     for _ in range(200):
         i = tuple(rng.randrange(1, e + 1) for _ in range(e))

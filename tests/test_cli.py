@@ -1,12 +1,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the argv property below needs it
+    given = None
+
 from symkron import grouporacle, symfunc, verify
 from symkron.contingency import ContingencyMatrix
-from symkron.cli import main
+from symkron.cli import _COMMANDS, _read_args, build_parser, main
 from symkron.errors import BudgetExceededError
 from symkron.grouporacle import specht_generator_rank
 from symkron.symfunc import SymFunc
@@ -334,3 +340,54 @@ def test_matrix_listing_budget(capsys, monkeypatch):
         assert err == "error: 362880 margin matrices exceed the listing cap of 40320\n"
     code, out, _ = run_cli(capsys, "contingency", "--lambda", ones, "--mu", ones, "--count-only")
     assert (code, out) == (0, "362880\n")
+
+
+GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+
+
+def test_reader_agrees_with_argparse_on_every_golden_argv():
+    read = 0
+    records = [rec for recs in json.loads(GOLDEN.read_text()).values() for rec in recs]
+    for argv, _, out, err in records:
+        args = _read_args(argv)
+        if out.startswith("usage: ") or err.startswith("usage: "):
+            # help, or a refusal by argparse: its text is argparse's to write
+            assert args is None, argv
+        elif args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+            read += 1
+    assert read == 710
+
+
+CHOICES = sorted({c for _, _, arguments in _COMMANDS.values()
+                  for options in arguments.values() for c in options.get("choices", ())})
+FLAGS = sorted({flag for _, _, arguments in _COMMANDS.values() for flag in arguments}
+               | {"--format"})
+ODD = ["-h", "--d=2", "--form", "--"]
+VALUES = ["", "3", "-1", "1_0", "x", "json", "s", "p", "2,1", "s[2]"] + CHOICES
+
+
+def _argvs(command):
+    """``command`` and its required flags, then any flags, values and odd tokens, shuffled."""
+    arguments = {**_COMMANDS[command][2], "--format": {}}
+    value = st.sampled_from(VALUES)
+    required = [st.tuples(st.just(flag), value)
+                for flag, options in arguments.items() if options.get("required")]
+    piece = st.one_of(
+        st.tuples(st.sampled_from(sorted(arguments)), value),
+        st.tuples(st.sampled_from(FLAGS + ODD + VALUES)),
+    )
+    pieces = st.tuples(st.tuples(*required), st.lists(piece, max_size=3)).flatmap(
+        lambda parts: st.permutations(parts[0] + tuple(parts[1]))
+    )
+    return pieces.map(lambda ps: [command] + [token for p in ps for token in p])
+
+
+if given is not None:
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.sampled_from(sorted(_COMMANDS)).flatmap(_argvs))
+    def test_reader_namespace_is_the_one_argparse_builds(argv):
+        args = _read_args(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))

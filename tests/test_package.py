@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from symkron.cli import _COMMANDS
 from symkron.contingency import contingency_matrices
 from symkron.expr import Atom, BinOp
 from symkron.verify import Check
@@ -74,6 +75,39 @@ def test_import_stays_light_and_at_module_level():
                     assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
                         f"{path.name}:{node.lineno} imports inside a function"
                     )
+
+
+# One small well-formed call of each command.
+CALLS = [
+    ["partitions", "--d", "2"],
+    ["compositions", "--n", "2", "--d", "2"],
+    ["kostka", "--shape", "2,1", "--content", "1,1,1"],
+    ["contingency", "--lambda", "2,1", "--mu", "2,1", "--count-only"],
+    ["decompose-perm", "--lambda", "2,1", "--mu", "2,1", "--oracle", "--format", "json"],
+    ["kron", "--expr", "s[2] # s[1,1]", "--basis", "s"],
+    ["convert", "--expr", "h[2,1]", "--basis", "m"],
+    ["character", "--kind", "perm", "--lambda", "2,1"],
+    ["ch", "--kind", "specht", "--lambda", "2,1", "--basis", "s"],
+    ["verify", "--suite", "jacobi-trudi", "--d", "2", "--seed", "1"],
+]
+
+
+def test_well_formed_calls_leave_argparse_help_and_locale_unloaded():
+    # argparse's help formatter imports shutil, its message lookups locale.
+    code = (
+        "import contextlib, io, sys, symkron.cli\n"
+        f"for argv in {CALLS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert symkron.cli.main(argv) == 0, argv\n"
+        "print(*sorted(sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert {command for command, *_ in CALLS} == set(_COMMANDS)
+    assert "symkron.cli" in loaded
+    assert not {"shutil", "locale"} & set(loaded)
 
 
 # Each memo must be a table that some workload reads; a new one needs a reason.

@@ -139,8 +139,8 @@ CASES = {
     ),
     "random-action": (
         _first_composition, "all", 2, 4,
-        "FAIL action d=2: 200 random composition-law triples (seed 4) "
-        "[violations: [((1, 2), (2, 1), (1, 2))]]",
+        "FAIL action d=3: 200 random composition-law triples (seed 4) "
+        "[violations: [((3, 2, 1), (1, 3, 2), (1, 2, 1))]]",
     ),
 }
 
@@ -155,3 +155,12 @@ def test_corrupted_route_fails_its_check(capsys, monkeypatch, case):
     assert code == 1
     assert line in lines
     assert lines[-1] == f"FAIL {suite}: {len(lines) - 1} checks"
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_action_check_sees_a_swapped_composition_at_low_degree(monkeypatch, d):
+    # S_2 is abelian, so the check must sample a larger group to see the order.
+    real = grouporacle.compose
+    monkeypatch.setattr(grouporacle, "compose", lambda s, t: real(t, s))
+    (action,) = [c for c in verify.run_verify("all", d) if c.name.startswith("action ")]
+    assert not action.passed
