@@ -6,24 +6,28 @@ command accepts ``--format text|json``.  The budgets are the module constants
 ``grouporacle.MAX_ORBIT_PAIRS``, ``grouporacle.MAX_GROUP_ORDER``,
 ``contingency.MAX_LISTED_MATRICES`` and ``verify.MAX_VERIFY_DEGREE``.
 
-A well-formed argument list is read straight from the ``_COMMANDS`` table;
-argparse parses the rest and writes all help, usage and error text.
+Every argument list is read by ``_read_args`` from the ``_COMMANDS`` table.
+Flags are spelled in full (no abbreviation, ``--flag=value`` or ``--``), and
+integers are ASCII ``-?[0-9]+``.  The help, usage and error text is
+argparse's under Python 3.11 at 80 columns, on any terminal and Python.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import expr, grouporacle, symfunc, verify
 from .combinat import (
+    DIGITS,
     Composition,
     Partition,
     count_ssyt,
     enumerate_compositions,
     enumerate_partitions,
     format_parts,
+    parse_int,
     parse_parts,
 )
 from .contingency import contingency_matrices, decompose_permutation_tensor, hom_dimension
@@ -262,80 +266,146 @@ _COMMANDS = {
 }
 
 
-# The option every command accepts, read by build_parser and _read_args alike.
+# The option every command accepts, shown before the command's own.
 _FORMAT = {"--format": dict(choices=("text", "json"), default="text", help="output format")}
+_HELP = ("-h", "--help")
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+# argparse's width at 80 columns, fixed so that no text depends on the terminal.
+_WIDTH = 78
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of every command, for the argvs ``_read_args`` leaves."""
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, options in _FORMAT.items():
-        common.add_argument(flag, **options)
-
-    parser = argparse.ArgumentParser(
-        prog="symkron",
-        description="Exact symmetric functions, permutation-module tensor "
-        "decompositions, and Kronecker products.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, options in arguments.items():
-            p.add_argument(flag, **options)
-        p.set_defaults(func=func)
-    return parser
+def _arguments(command: str) -> dict:
+    return {**_FORMAT, **_COMMANDS[command][2]}
 
 
-def _read_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` gives a well-formed ``argv``.
+def _dest(flag: str, options: dict) -> str:
+    return options.get("dest", flag[2:].replace("-", "_"))
 
-    Well-formed: a command, then only its exact flags and ``--format``, each
-    value flag followed by a value that does not start with ``-`` and passes
-    its ``type`` and ``choices``, and every required flag present.  Anything
-    else gives None and is argparse's to parse or refuse.
+
+def _shown(flag: str, options: dict) -> str:
+    """A flag as usage and help show it: with its choices or metavar, unless a switch."""
+    if options.get("action") == "store_true":
+        return flag
+    choices = options.get("choices")
+    return f"{flag} " + ("{" + ",".join(choices) + "}" if choices else _dest(flag, options).upper())
+
+
+def _usage(command: str | None) -> str:
+    """The usage of ``command`` (None: the top level), wrapped greedily at ``_WIDTH``.
+
+    argparse starts the top level's command list on a line of its own; here
+    it never fits on the first line anyway.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    func, _, arguments = _COMMANDS[argv[0]]
-    arguments = {**arguments, **_FORMAT}
-    given = {}
-    tokens = iter(argv[1:])
-    for flag in tokens:
-        options = arguments.get(flag)
-        if options is None:
-            return None
-        if options.get("action") == "store_true":
-            given[flag] = True
-            continue
-        value = next(tokens, "-")  # a missing value counts as a dash-led one
-        if value.startswith("-"):
-            return None
-        if options.get("type") is int:
-            try:
-                value = int(value)
-            except ValueError:
-                return None
-        if "choices" in options and value not in options["choices"]:
-            return None
-        given[flag] = value
-    if any(options.get("required") and flag not in given for flag, options in arguments.items()):
-        return None
-    args = argparse.Namespace(command=argv[0], func=func)
+    prog, parts = "symkron", ["[-h]", _CHOICES, "..."]
+    if command is not None:
+        prog, parts = f"symkron {command}", ["[-h]"]
+        for flag, options in _arguments(command).items():
+            shown = _shown(flag, options)
+            parts += shown.split() if options.get("required") else [f"[{shown}]"]
+    lead = " " * (len(prog) + 7)  # a wrapped line starts under the first part
+    lines = [f"usage: {prog}"]
+    for part in parts:
+        if lines[-1] != lead and len(lines[-1]) + 1 + len(part) > _WIDTH:
+            lines.append(lead)
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
+
+
+def _row(indent: int, shown: str, help_text: str | None) -> str:
+    """One help row, on one line: a flag with help text ends by column 22, and
+    the text, starting at column 24, fits in 54 columns."""
+    head = " " * indent + shown
+    return f"{head:<24}{help_text}\n" if help_text else head + "\n"
+
+
+def _help(command: str | None) -> str:
+    """The ``-h`` text of ``command`` (None: the top level)."""
+    rows = _row(2, ", ".join(_HELP), "show this help message and exit")
+    if command is None:
+        commands = "".join(_row(4, name, spec[1]) for name, spec in _COMMANDS.items())
+        return (f"{_usage(None)}\nExact symmetric functions, permutation-module tensor "
+                "decompositions, and\nKronecker products.\n\npositional arguments:\n"
+                f"{_row(2, _CHOICES, None)}{commands}\noptions:\n{rows}")
+    for flag, options in _arguments(command).items():
+        rows += _row(2, _shown(flag, options), options.get("help"))
+    return f"{_usage(command)}\noptions:\n{rows}"
+
+
+def _refuse(command: str | None, message: str):
+    """Print the usage of ``command`` (None: the top level) and ``message``; exit 2."""
+    prog = f"symkron {command}" if command else "symkron"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _check_choice(command: str | None, name: str, value: str, choices) -> None:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        _refuse(command, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _is_flag(token: str) -> bool:
+    """Whether ``token`` is a flag: dash-led, but not ``-`` alone, a negative
+    integer or a text with a space, which are values."""
+    return token.startswith("-") and " " not in token and not DIGITS.issuperset(token[1:])
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of ``argv``; after help or a refusal, raise ``SystemExit``.
+
+    The command comes first, then its exact flags and ``--format`` in any
+    order; integer values follow ``parse_int``.  As in argparse, ``-h`` prints
+    help where it stands, a bad value is refused at once, then a missing
+    required flag, and last every unknown token (``--form``, ``--d=2``, ``--``).
+    """
+    command, arguments, given, unknown = None, {}, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        options = arguments.get(token)
+        if token in _HELP:
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        elif command is None and not _is_flag(token):
+            _check_choice(None, "command", token, _COMMANDS)
+            command, arguments = token, _arguments(token)
+        elif options is None:
+            unknown.append(token)
+        elif options.get("action") == "store_true":
+            given[token] = True
+        else:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                _refuse(command, f"argument {token}: expected one argument")
+            if options.get("type") is int:
+                try:
+                    value = parse_int(value)
+                except ValueError:
+                    _refuse(command, f"argument {token}: invalid int value: {value!r}")
+            if "choices" in options:
+                _check_choice(command, token, value, options["choices"])
+            given[token] = value  # a repeated flag keeps its last value
+    if command is None:
+        _refuse(None, "the following arguments are required: command")
+    missing = [flag for flag, options in arguments.items()
+               if options.get("required") and flag not in given]
+    if missing:
+        _refuse(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _refuse(None, f"unrecognized arguments: {' '.join(unknown)}")
+    args = SimpleNamespace(command=command, func=_COMMANDS[command][0])
     for flag, options in arguments.items():
         default = options.get("default", False if options.get("action") == "store_true" else None)
-        setattr(args, options.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+        setattr(args, _dest(flag, options), given.get(flag, default))
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_args(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
+    try:
+        args = _read_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -252,12 +252,26 @@ def format_parts(parts: Iterable[int]) -> str:
     return ",".join(str(p) for p in parts) if parts else "[]"
 
 
+# The digits of every integer symkron reads: ASCII only, so ``1_0``, ``+3``
+# and ``٣`` are refused where ``int()`` would take them.
+DIGITS = frozenset("0123456789")
+
+
+def parse_int(text: str) -> int:
+    """The one integer syntax: optional surrounding whitespace, then ``-?[0-9]+``."""
+    s = text.strip()
+    digits = s[1:] if s.startswith("-") else s
+    if not digits or not DIGITS.issuperset(digits):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(s)
+
+
 def parse_parts(text: str) -> tuple[int, ...]:
     """Inverse of :func:`format_parts`; accepts ``[]`` or an empty string."""
     s = text.strip()
     if s in ("", "[]"):
         return ()
     try:
-        return tuple(int(tok) for tok in s.split(","))
+        return tuple(parse_int(tok) for tok in s.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None

@@ -10,7 +10,8 @@ Grammar, precedence low to high::
     rational := INT ('/' INT)?
 
 ``.`` is the graded ring product and ``#`` the equal-degree internal
-product.  Whitespace is ignored; errors carry 1-based character offsets.
+product.  INT is a run of ASCII digits (``combinat.DIGITS``).  Whitespace is
+ignored; errors carry 1-based character offsets.
 An atom's parts must form a partition (weakly decreasing, positive); the
 empty bracket pair denotes the degree-0 unit of its basis.
 """
@@ -21,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import symfunc
-from .combinat import Partition
+from .combinat import DIGITS, Partition
 from .errors import DegreeMismatchError, ExpressionError
 from .kronecker import kronecker as _internal_product
 
@@ -49,9 +50,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdecimal():
+        if ch in DIGITS:
             start = k
-            while k < len(text) and text[k].isdecimal():
+            while k < len(text) and text[k] in DIGITS:
                 k += 1
             tokens.append(_Token("INT", text[start:k], start + 1))
             continue

@@ -7,17 +7,15 @@ paths.  After an intended output change, re-record
 it with ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the
 diff of the data file.
 
-Python 3.13 changed how argparse wraps ``usage:`` lines, so
-``golden/cli-py313.json`` holds, in the same layout, the records whose bytes
-differ on 3.13 and later; there they replace their base records.  Running the
-script above under 3.13 re-records that overlay and leaves ``cli.json`` alone.
+The help, usage and error records are the text argparse wrote under Python
+3.11 at 80 columns.  ``symkron.cli`` writes it itself at a fixed width, so
+every record holds on every Python version, and those with a ``usage:`` block
+are replayed with ``COLUMNS`` unset, narrow and wide.
 """
 
 import contextlib
 import io
 import json
-import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,13 +24,9 @@ from symkron.cli import main
 from symkron.combinat import enumerate_compositions, enumerate_partitions, format_parts
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
-OVERLAY_313 = GOLDEN.with_name("cli-py313.json")
-ON_313 = sys.version_info >= (3, 13)
 BASES = ("m", "e", "h", "s", "p")
 SUITES = ("monoidal", "orthonormality", "kostka", "jacobi-trudi", "all")
 ONES_9 = ",".join("1" * 9)
-# argparse wraps its usage text to the terminal width.
-COLUMNS = "80"
 
 
 def _pairs(max_d=4):
@@ -155,61 +149,24 @@ def record(argv: list[str]) -> list:
 
 @pytest.mark.parametrize("command", sorted(cases()))
 def test_cli_output_matches_golden(monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", COLUMNS)
     golden = json.loads(GOLDEN.read_text())[command]
     assert [rec[0] for rec in golden] == cases()[command]
-    if ON_313:
-        overlay = json.loads(OVERLAY_313.read_text()).get(command, [])
-        replaced = {tuple(rec[0]): rec for rec in overlay}
-        golden = [replaced.get(tuple(rec[0]), rec) for rec in golden]
-    for rec in golden:
-        assert record(rec[0]) == rec
-
-
-def _split_usage(text: str) -> tuple[list[str], list[str]]:
-    """The words of argparse's usage block, and every line outside it."""
-    words, rest = [], []
-    in_usage = False
-    for line in text.splitlines():
-        in_usage = line.startswith("usage: ") or (in_usage and line.startswith(" "))
-        if in_usage:
-            words.extend(line.split())
+    # Every record with COLUMNS unset; those with usage text also narrow and wide.
+    for columns in (None, "40", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
         else:
-            rest.append(line)
-    return words, rest
+            monkeypatch.setenv("COLUMNS", columns)
+        for rec in golden:
+            if columns is None or "usage:" in rec[2] + rec[3]:
+                assert record(rec[0]) == rec
 
 
-def test_py313_overlay_differs_only_in_usage_wrapping():
-    golden = json.loads(GOLDEN.read_text())
-    overlay = json.loads(OVERLAY_313.read_text())
-    assert overlay
-    for command, recs in overlay.items():
-        base = {tuple(rec[0]): rec for rec in golden[command]}
-        for new in recs:
-            old = base[tuple(new[0])]
-            assert new != old and new[1] == old[1]
-            for old_text, new_text in zip(old[2:], new[2:]):
-                assert _split_usage(new_text) == _split_usage(old_text)
-
-
-def _write(path: Path, data: dict) -> None:
+if __name__ == "__main__":
+    data = {command: [record(argv) for argv in argvs] for command, argvs in cases().items()}
     lines = ",\n".join(
         f"{json.dumps(command)}: [\n" + ",\n".join(json.dumps(rec) for rec in recs) + "\n]"
         for command, recs in sorted(data.items())
     )
-    path.write_text("{\n" + lines + "\n}\n")
-
-
-if __name__ == "__main__":
-    os.environ["COLUMNS"] = COLUMNS
-    data = {command: [record(argv) for argv in argvs] for command, argvs in cases().items()}
     GOLDEN.parent.mkdir(exist_ok=True)
-    if ON_313:
-        base = json.loads(GOLDEN.read_text())
-        changed = {
-            command: [rec for rec, old in zip(recs, base[command]) if rec != old]
-            for command, recs in data.items()
-        }
-        _write(OVERLAY_313, {command: recs for command, recs in changed.items() if recs})
-    else:
-        _write(GOLDEN, data)
+    GOLDEN.write_text("{\n" + lines + "\n}\n")

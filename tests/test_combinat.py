@@ -182,8 +182,10 @@ def test_parts_text_round_trip():
     assert parse_parts("3,1") == (3, 1)
     assert parse_parts("[]") == ()
     assert parse_parts("") == ()
-    with pytest.raises(ValueError):
-        parse_parts("3,x")
+    # One integer syntax: ASCII -?[0-9]+, where int() would also read these.
+    for text in ("3,x", "1_0", "+1,1", "٣", "3,,1", "-"):
+        with pytest.raises(ValueError, match="expected comma-separated integers"):
+            parse_parts(text)
     for d in range(6):
         for lam in enumerate_partitions(d):
             assert parse_parts(format_parts(lam)) == tuple(lam)
