@@ -172,7 +172,6 @@ def count_ssyt(shape: Iterable[int], content: Iterable[int]) -> int:
     return kostka_column(tuple(content)).get(shape, 0)
 
 
-@lru_cache(maxsize=None)
 def kostka_column(content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Tableau counts of every shape for one content, as ``{shape: count}``.
 
@@ -181,9 +180,39 @@ def kostka_column(content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """
     if not content:
         return {(): 1}
+    return _pieri_step(kostka_column(content[:-1]), content[-1], {})
+
+
+def _kostka_columns(d: int) -> Iterator[dict[tuple[int, ...], int]]:
+    """:func:`kostka_column` of every partition of ``d``, in canonical order.
+
+    One depth-first walk over partition prefixes, in the order of
+    :func:`enumerate_partitions`, takes one Pieri step per prefix, so a
+    column shares its chain with every column of the same prefix; each
+    strip set is found once per call in a dict dropped when the walk ends.
+    """
+    strips: dict = {}
+
+    def walk(column: dict, rem: int, cap: int) -> Iterator[dict]:
+        if not rem:
+            yield column
+        for part in range(min(rem, cap), 0, -1):
+            yield from walk(_pieri_step(column, part, strips), rem - part, part)
+
+    return walk({(): 1}, d, d)
+
+
+def _pieri_step(column: dict, size: int, strips: dict) -> dict[tuple[int, ...], int]:
+    """``h_size`` times the Schur expansion ``column``, by the Pieri rule.
+
+    ``strips`` memoizes :func:`_strip_additions` under ``(shape, size)``.
+    """
     out: dict[tuple[int, ...], int] = {}
-    for shape, count in kostka_column(content[:-1]).items():
-        for outer in _strip_additions(shape, content[-1]):
+    for shape, count in column.items():
+        outers = strips.get((shape, size))
+        if outers is None:
+            outers = strips[shape, size] = _strip_additions(shape, size)
+        for outer in outers:
             out[outer] = out.get(outer, 0) + count
     return out
 

@@ -5,10 +5,12 @@ complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis:
 
 * ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree, built
-  once from sparse tableau-count (Kostka) columns: ``h -> s`` reads the
-  columns, ``s -> h`` the columns of the exact integer inverse, ``m <-> s``
-  the rows of both, and ``e <-> s`` the ``h`` maps composed with the
-  involution omega, which swaps ``h`` and ``e`` and conjugates Schur indices;
+  once from the sparse tableau-count (Kostka) columns that one Pieri walk
+  over partition prefixes yields, with the exact integer inverse solved on
+  ranks (positions in canonical order): ``h -> s`` reads the columns,
+  ``s -> h`` the columns of the inverse, ``m <-> s`` the rows of both, and
+  ``e <-> s`` the ``h`` maps composed with the involution omega, which swaps
+  ``h`` and ``e`` and conjugates Schur indices;
 * ``p <-> s`` by the irreducible characters of the symmetric group, which
   :func:`character_value` computes by the Murnaghan-Nakayama rule.
 
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
-    Partition, _check_row, centralizer_order, conjugate, enumerate_partitions, kostka_column
+    Partition, _check_row, _kostka_columns, centralizer_order, conjugate, enumerate_partitions
 )
 from .errors import DegreeMismatchError, InternalConsistencyError
 
@@ -181,31 +183,39 @@ class KostkaTable:
     ``to_s[b][lam]`` is the basis element ``b_lam`` in the s basis and
     ``from_s[b][lam]`` is ``s_lam`` in the basis ``b``, each an
     ``{partition: int}`` in canonical order; callers only read them.  Column
-    ``mu`` of the tableau-count (Kostka) matrix is
-    :func:`symkron.combinat.kostka_column` of ``mu``, that is ``h_mu`` in the
-    s basis.  The matrix is unit upper triangular in canonical order, so
-    ``s -> h`` is solved one column at a time in integers; every build
+    ``mu`` of the tableau-count (Kostka) matrix is ``h_mu`` in the s basis;
+    one depth-first Pieri walk in :mod:`symkron.combinat` yields every column
+    of the degree, sharing the strips of common content prefixes.  The matrix
+    is unit upper triangular in canonical order, so ``s -> h`` is solved one
+    column at a time in integers, indexed by rank (position in
+    ``partitions``), and re-keyed by partition once at the end; every build
     asserts the triangularity and that ``h -> s -> h`` is the identity.
     """
 
     def __init__(self, degree: int):
         parts = enumerate_partitions(degree)
         rank = {p: i for i, p in enumerate(parts)}
-        h_to_s: dict[Partition, dict] = {}  # column mu: h_mu in the s basis
-        s_to_h: dict[Partition, dict] = {}  # column mu of the inverse: s_mu in the h basis
-        for j, mu in enumerate(parts):
-            ranked = sorted((rank[lam], k) for lam, k in kostka_column(mu).items())
+        # Solved on ranks, then re-keyed by partition: column j is h_{parts[j]}
+        # in the s basis, and column j of the inverse s_{parts[j]} in the h basis.
+        h_to_s = []
+        s_to_h = []
+        for j, column in enumerate(_kostka_columns(degree)):
+            ranked = sorted((rank[lam], k) for lam, k in column.items())
             # A unit diagonal entry, and none after it.
             if ranked[-1:] != [(j, 1)]:
                 raise InternalConsistencyError("tableau-count matrix is not unitriangular")
             # s_mu = h_mu - sum of K[nu][mu] s_nu over nu before mu, each already solved.
-            solved = _expand({parts[i]: -k for i, k in ranked[:-1]}, s_to_h.__getitem__)
-            solved[mu] = 1
-            h_to_s[mu] = {parts[i]: k for i, k in ranked}
-            s_to_h[mu] = {lam: solved[lam] for lam in sorted(solved, key=rank.get) if solved[lam]}
-        for mu, column in h_to_s.items():
-            if _nonzero(_expand(column, s_to_h.__getitem__)) != {mu: 1}:
+            solved = {i: -x for i, x in enumerate(_combine(j, ranked[:-1], s_to_h)) if x}
+            solved[j] = 1
+            h_to_s.append(dict(ranked))
+            s_to_h.append(solved)
+        for j, col in enumerate(h_to_s):
+            unit = _combine(len(parts), col.items(), s_to_h)
+            unit[j] -= 1
+            if any(unit):
                 raise InternalConsistencyError("tableau-count inverse failed to verify")
+        h_to_s = {parts[j]: {parts[i]: k for i, k in col.items()} for j, col in enumerate(h_to_s)}
+        s_to_h = {parts[j]: {parts[i]: x for i, x in col.items()} for j, col in enumerate(s_to_h)}
         conj = {lam: parts[rank[conjugate(lam)]] for lam in parts}
         self.degree = degree
         self.partitions = parts
@@ -222,6 +232,15 @@ class KostkaTable:
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
         return self.to_s["h"][Partition(mu)].get(Partition(lam), 0)
+
+
+def _combine(n: int, terms: Iterable[tuple[int, int]], columns: list[dict]) -> list[int]:
+    """Sum of ``k * columns[i]`` over the ``(i, k)`` terms, as ``n`` sums indexed by rank."""
+    out = [0] * n
+    for i, k in terms:
+        for r, x in columns[i].items():
+            out[r] += k * x
+    return out
 
 
 def _transpose(columns: dict) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from symkron.combinat import (
     Composition,
     Partition,
+    _kostka_columns,
     conjugate,
     count_ssyt,
     count_standard_tableaux,
@@ -13,6 +14,7 @@ from symkron.combinat import (
     enumerate_compositions,
     enumerate_partitions,
     format_parts,
+    kostka_column,
     multinomial,
     parse_parts,
     sort_to_partition,
@@ -158,6 +160,12 @@ def test_count_ssyt_positive_iff_dominated():
             for mu in enumerate_partitions(d):
                 positive = count_ssyt(lam, mu) > 0
                 assert positive == dominance_leq(sort_to_partition(mu), lam)
+
+
+def test_one_pieri_walk_gives_every_kostka_column():
+    for d in range(11):
+        walked = [list(col.items()) for col in _kostka_columns(d)]
+        assert walked == [list(kostka_column(mu).items()) for mu in enumerate_partitions(d)]
 
 
 def test_count_standard_tableaux():

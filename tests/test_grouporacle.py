@@ -401,6 +401,7 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         "build_kostka_table",
         "KostkaTable",
         "kostka_column",
+        "_kostka_columns",
         "contingency",
         "decompose_permutation_tensor",
         "kronecker",

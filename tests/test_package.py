@@ -119,7 +119,6 @@ def test_well_formed_calls_leave_argparse_help_and_locale_unloaded():
 MEMOS = {
     "combinat.class_sizes",
     "combinat.enumerate_partitions",
-    "combinat.kostka_column",
     "contingency._count_classes",
     "contingency._count_tables",
     "grouporacle._det_expansion",

@@ -70,7 +70,7 @@ def test_kostka_table_small():
 
 
 def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
-    kostka_column = symfunc.kostka_column
+    kostka_columns = symfunc._kostka_columns
     corruptions = {
         "diagonal 2": lambda col: {**col, (2, 1): 2},
         "an entry after the diagonal": lambda col: {**col, (1, 1, 1): 1},
@@ -78,13 +78,30 @@ def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
     for what, corrupt in corruptions.items():
         monkeypatch.setattr(
             symfunc,
-            "kostka_column",
-            lambda mu: corrupt(kostka_column(mu)) if mu == (2, 1) else kostka_column(mu),
+            "_kostka_columns",
+            lambda d: [
+                corrupt(col) if mu == (2, 1) else col
+                for mu, col in zip(enumerate_partitions(d), kostka_columns(d))
+            ],
         )
         with pytest.raises(InternalConsistencyError, match="not unitriangular"):
             symfunc.KostkaTable(3)
     monkeypatch.undo()
     assert symfunc.KostkaTable(3).kostka((3,), (2, 1)) == 1
+
+
+def test_kostka_table_refuses_a_corrupted_inverse(monkeypatch):
+    combine = symfunc._combine
+
+    def corrupt(n, terms, columns):
+        out = combine(n, terms, columns)
+        if n == 2:  # at degree 3, only the solve of column (1, 1, 1) sums two ranks
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(symfunc, "_combine", corrupt)
+    with pytest.raises(InternalConsistencyError, match="inverse failed to verify"):
+        symfunc.KostkaTable(3)
 
 
 def test_conversion_examples():
