@@ -4,15 +4,20 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis:
 
-* ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree, built
-  once from the sparse tableau-count (Kostka) columns that one Pieri walk
-  over partition prefixes yields, with the exact integer inverse solved on
-  ranks (positions in canonical order): ``h -> s`` reads the columns,
-  ``s -> h`` the columns of the inverse, ``m <-> s`` the rows of both, and
-  ``e <-> s`` the ``h`` maps composed with the involution omega, which swaps
-  ``h`` and ``e`` and conjugates Schur indices;
+* ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree.  Its
+  sparse tableau-count (Kostka) columns, which one Pieri walk over partition
+  prefixes yields, are ``h -> s`` and are built with the table, which
+  asserts them unitriangular.  Every other map is built on its first read:
+  ``s -> m`` transposes the columns and ``e -> s`` re-keys them by the
+  involution omega, which swaps ``h`` and ``e`` and conjugates Schur
+  indices, so neither needs the inverse; ``s -> h``, ``s -> e`` and
+  ``m -> s`` read the exact integer inverse, which the first of them solves
+  on ranks (positions in canonical order) and checks against
+  ``h -> s -> h`` before returning;
 * ``p <-> s`` by the irreducible characters of the symmetric group, which
-  :func:`character_value` computes by the Murnaghan-Nakayama rule.
+  :func:`character_value` computes by the Murnaghan-Nakayama rule:
+  ``p -> s`` sums ``c_rho * chi^lam(rho)`` over the terms, and ``s -> p`` is
+  :func:`characteristic_map` of the class function ``sum of c_lam * chi^lam``.
 
 A character is a tuple of values in canonical cycle-type order, and
 :func:`characteristic_map` (ch) sends one to the p basis; the character route
@@ -20,12 +25,14 @@ to the internal product is ``grouporacle.permutation_character`` through it.
 The Jacobi-Trudi determinants and the brute-force character table, second
 routes to the same tables, live in :mod:`symkron.grouporacle` as checks.
 
-``SymFunc.terms`` is `fractions.Fraction`-valued.  Inner loops run on Python
-ints wherever the theory gives integers (the Kostka matrix and its inverse,
-character values, margin counts); only the ``1/z_rho`` of ``s -> p`` and
-coefficients the user writes bring in a ``Fraction``.  Integrality is
+``SymFunc.terms`` is `fractions.Fraction`-valued.  A conversion scales its
+terms to integers by their common denominator, runs every sum on Python ints
+(the Kostka matrix and its inverse, character values, margin counts) and
+divides each output term by that denominator, if it is not 1; only the
+``1/z_rho`` of ``s -> p`` brings in a further ``Fraction``.  Integrality is
 asserted where the theory demands it instead of being assumed.  SymFunc
-values are immutable; per-degree tables are built once and then only read.
+values are immutable; per-degree tables are built once, and each of their
+maps is stored once complete and then only read.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ import json
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import attrgetter
 
 from .combinat import (
     Partition, _check_row, _kostka_columns, centralizer_order, conjugate, enumerate_partitions
@@ -41,6 +50,8 @@ from .combinat import (
 from .errors import DegreeMismatchError, InternalConsistencyError
 
 BASES = ("m", "e", "h", "p", "s")
+
+_denominator = attrgetter("denominator")
 
 
 class SymFunc:
@@ -185,53 +196,91 @@ class KostkaTable:
     ``{partition: int}`` in canonical order; callers only read them.  Column
     ``mu`` of the tableau-count (Kostka) matrix is ``h_mu`` in the s basis;
     one depth-first Pieri walk in :mod:`symkron.combinat` yields every column
-    of the degree, sharing the strips of common content prefixes.  The matrix
-    is unit upper triangular in canonical order, so ``s -> h`` is solved one
-    column at a time in integers, indexed by rank (position in
-    ``partitions``), and re-keyed by partition once at the end; every build
-    asserts the triangularity and that ``h -> s -> h`` is the identity.
+    of the degree, sharing the strips of common content prefixes.
+
+    Only ``to_s["h"]`` is built with the table, and every build asserts that
+    the matrix is unit upper triangular in canonical order.  The other five
+    maps are built on their first read and stored once complete:
+    ``to_s["e"]`` re-keys the columns by conjugation (omega) and
+    ``from_s["m"]`` transposes them, so neither needs the inverse.  Reading
+    ``from_s["h"]``, ``from_s["e"]`` or ``to_s["m"]`` first solves
+    ``s -> h`` one column at a time in integers, indexed by rank (position in
+    ``partitions``), and checks that ``h -> s -> h`` is the identity before
+    any of its values is returned.
     """
 
     def __init__(self, degree: int):
         parts = enumerate_partitions(degree)
         rank = {p: i for i, p in enumerate(parts)}
-        # Solved on ranks, then re-keyed by partition: column j is h_{parts[j]}
-        # in the s basis, and column j of the inverse s_{parts[j]} in the h basis.
-        h_to_s = []
-        s_to_h = []
+        h_to_s = {}
         for j, column in enumerate(_kostka_columns(degree)):
             ranked = sorted((rank[lam], k) for lam, k in column.items())
             # A unit diagonal entry, and none after it.
             if ranked[-1:] != [(j, 1)]:
                 raise InternalConsistencyError("tableau-count matrix is not unitriangular")
-            # s_mu = h_mu - sum of K[nu][mu] s_nu over nu before mu, each already solved.
-            solved = {i: -x for i, x in enumerate(_combine(j, ranked[:-1], s_to_h)) if x}
-            solved[j] = 1
-            h_to_s.append(dict(ranked))
-            s_to_h.append(solved)
-        for j, col in enumerate(h_to_s):
-            unit = _combine(len(parts), col.items(), s_to_h)
-            unit[j] -= 1
-            if any(unit):
-                raise InternalConsistencyError("tableau-count inverse failed to verify")
-        h_to_s = {parts[j]: {parts[i]: k for i, k in col.items()} for j, col in enumerate(h_to_s)}
-        s_to_h = {parts[j]: {parts[i]: x for i, x in col.items()} for j, col in enumerate(s_to_h)}
-        conj = {lam: parts[rank[conjugate(lam)]] for lam in parts}
+            h_to_s[parts[j]] = {parts[i]: k for i, k in ranked}
         self.degree = degree
         self.partitions = parts
-        self.to_s = {
-            "h": h_to_s,
-            "m": _transpose(s_to_h),
-            "e": {mu: {conj[nu]: k for nu, k in col.items()} for mu, col in h_to_s.items()},
-        }
-        self.from_s = {
-            "h": s_to_h,
-            "m": _transpose(h_to_s),
-            "e": {lam: s_to_h[conj[lam]] for lam in parts},
-        }
+        self.to_s = _Maps(
+            {"h": h_to_s}, m=lambda: _transpose(self.from_s["h"]), e=self._e_to_s
+        )
+        self.from_s = _Maps({}, h=self._s_to_h, m=lambda: _transpose(h_to_s), e=self._s_to_e)
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
         return self.to_s["h"][Partition(mu)].get(Partition(lam), 0)
+
+    def _s_to_h(self) -> dict:
+        # s_mu = h_mu - sum of K[nu][mu] s_nu over nu before mu, each already
+        # solved, on ranks; the diagonal entry is the last of each column.
+        parts = self.partitions
+        rank = {p: i for i, p in enumerate(parts)}
+        h_to_s = [[(rank[lam], k) for lam, k in col.items()] for col in self.to_s["h"].values()]
+        s_to_h = []
+        for j, col in enumerate(h_to_s):
+            solved = {i: -x for i, x in enumerate(_combine(j, col[:-1], s_to_h)) if x}
+            solved[j] = 1
+            s_to_h.append(solved)
+        for j, col in enumerate(h_to_s):
+            unit = _combine(len(parts), col, s_to_h)
+            unit[j] -= 1
+            if any(unit):
+                raise InternalConsistencyError("tableau-count inverse failed to verify")
+        return {parts[j]: {parts[i]: x for i, x in col.items()} for j, col in enumerate(s_to_h)}
+
+    def _s_to_e(self) -> dict:
+        s_to_h = self.from_s["h"]
+        conj = self._conjugates()
+        return {lam: s_to_h[conj[lam]] for lam in self.partitions}
+
+    def _e_to_s(self) -> dict:
+        conj = self._conjugates()
+        return {
+            mu: {conj[nu]: k for nu, k in col.items()} for mu, col in self.to_s["h"].items()
+        }
+
+    def _conjugates(self) -> dict:
+        """Each partition's conjugate, as the same object in ``partitions``."""
+        parts = self.partitions
+        rank = {p: i for i, p in enumerate(parts)}
+        return {lam: parts[rank[conjugate(lam)]] for lam in parts}
+
+
+class _Maps(dict):
+    """Maps by basis; a missing one is built by its builder on first read.
+
+    A map is stored only once it is complete, so a warm read is one dict
+    lookup and readers racing on a cold one each build an equal map.
+    """
+
+    __slots__ = ("_builders",)
+
+    def __init__(self, ready: dict, **builders):
+        super().__init__(ready)
+        self._builders = builders
+
+    def __missing__(self, basis: str) -> dict:
+        built = self[basis] = self._builders[basis]()
+        return built
 
 
 def _combine(n: int, terms: Iterable[tuple[int, int]], columns: list[dict]) -> list[int]:
@@ -286,18 +335,6 @@ def character_value(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     return total
 
 
-def _p_elem_to_s(rho: Partition) -> dict[Partition, int]:
-    return {
-        lam: chi
-        for lam in enumerate_partitions(rho.degree)
-        if (chi := character_value(lam, rho))
-    }
-
-
-def _s_elem_to_p(lam: Partition) -> dict[Partition, Fraction]:
-    return characteristic_map(lam.degree, specht_character(lam)).terms
-
-
 def specht_character(lam: Iterable[int]) -> tuple[int, ...]:
     """Murnaghan-Nakayama character of a partition: one value per cycle type, canonical order."""
     lam = Partition(lam)
@@ -339,24 +376,36 @@ def _convert_terms(
     """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
 
     h, m and e read the :class:`KostkaTable` of ``d``; p reads the characters
-    and builds no Kostka table.  Sums start from the int 0, so integer inputs
-    stay ints on the Kostka paths and only the ``1/z_rho`` of s -> p or a
-    rational input brings in a ``Fraction``.  Zero coefficients are skipped
-    on the way and dropped from the result, so its keys are those, in the
-    order, that a ``SymFunc`` built on it would store.
+    and builds no Kostka table.  Non-integral terms are first scaled to ints
+    by the common denominator of all terms, so every sum runs on ints and
+    only the output terms are divided: by ``z_rho`` in
+    :func:`characteristic_map` on s -> p, and by that denominator if it is not
+    1.  So integer inputs stay ints except on s -> p.  Zero coefficients are
+    skipped on the way and dropped from the result, so its keys are those, in
+    the order, that a ``SymFunc`` built on it would store.
     """
-    if target == basis:
+    den = lcm(*map(_denominator, terms.values()))
+    if den != 1:
+        terms = {lam: c.numerator * (den // c.denominator) for lam, c in terms.items()}
+    if basis == "p" and target != "p":
+        terms = {
+            lam: sum(c * character_value(lam, rho) for rho, c in terms.items())
+            for lam in enumerate_partitions(d)
+        }
+    elif basis not in ("s", target):
+        terms = _expand(terms, build_kostka_table(d).to_s[basis].__getitem__)
+    if target == "p" and basis != "p":
+        # ch of the integer class function: the sum of c_lam chi^lam.
+        chi = tuple(
+            sum(c * character_value(lam, rho) for lam, c in terms.items())
+            for rho in enumerate_partitions(d)
+        )
+        terms = characteristic_map(d, chi).terms
+    elif target not in ("s", basis):
+        terms = _expand(terms, build_kostka_table(d).from_s[target].__getitem__)
+    if den == 1:
         return _nonzero(terms)
-    mid = terms
-    if basis == "p":
-        mid = _expand(terms, _p_elem_to_s)
-    elif basis != "s":
-        mid = _expand(terms, build_kostka_table(d).to_s[basis].__getitem__)
-    if target == "p":
-        return _nonzero(_expand(mid, _s_elem_to_p))
-    if target != "s":
-        return _nonzero(_expand(mid, build_kostka_table(d).from_s[target].__getitem__))
-    return _nonzero(mid)
+    return {lam: Fraction(c, den) for lam, c in terms.items() if c}
 
 
 def _terms_in(f: SymFunc, target: str) -> dict:

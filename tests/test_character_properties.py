@@ -3,6 +3,8 @@
 import pytest
 
 pytest.importorskip("hypothesis")
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from symkron.combinat import (
@@ -11,7 +13,7 @@ from symkron.combinat import (
     count_standard_tableaux,
     enumerate_partitions,
 )
-from symkron.symfunc import character_value
+from symkron.symfunc import SymFunc, character_value, convert
 
 PROPERTY = settings(deadline=None, max_examples=40)
 
@@ -49,3 +51,34 @@ def test_conjugate_shape_twists_by_the_sign(pair):
 @given(partitions)
 def test_degree_counts_standard_tableaux(lam):
     assert character_value(lam, (1,) * sum(lam)) == count_standard_tableaux(lam)
+
+
+# 11, 13 and 97 divide no d! with d <= 7; 16 and 49 divide 7! but not 4!.
+rationals = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7, 11, 13, 16, 49, 97])
+)
+
+
+def _combinations(d):
+    parts = enumerate_partitions(d)
+    return st.builds(
+        lambda basis, coeffs: SymFunc(basis, d, dict(zip(parts, coeffs))),
+        st.sampled_from("mehs"),
+        st.lists(rationals, min_size=len(parts), max_size=len(parts)),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=7).flatmap(_combinations))
+def test_power_sum_conversions_are_exact(f):
+    # s_lam = sum over rho of chi^lam(rho) / z_rho p_rho, added up term by term.
+    in_s = convert(f, "s")
+    expected = {}
+    for lam, c in in_s.terms.items():
+        for rho in enumerate_partitions(f.degree):
+            x = c * Fraction(character_value(lam, rho), centralizer_order(rho))
+            expected[rho] = expected.get(rho, 0) + x
+    in_p = SymFunc("p", f.degree, expected)
+    assert convert(f, "p") == in_p
+    assert convert(in_p, "s") == in_s
+    assert convert(in_p, f.basis) == f

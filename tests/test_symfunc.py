@@ -100,8 +100,24 @@ def test_kostka_table_refuses_a_corrupted_inverse(monkeypatch):
         return out
 
     monkeypatch.setattr(symfunc, "_combine", corrupt)
-    with pytest.raises(InternalConsistencyError, match="inverse failed to verify"):
-        symfunc.KostkaTable(3)
+    # The inverse is solved, and checked, on the first read of a map built from it.
+    for maps, basis in (("from_s", "h"), ("from_s", "e"), ("to_s", "m")):
+        table = symfunc.KostkaTable(3)
+        with pytest.raises(InternalConsistencyError, match="inverse failed to verify"):
+            getattr(table, maps)[basis]
+        assert dict(table.from_s) == {} and list(table.to_s) == ["h"]
+
+
+def test_inverse_free_reads_never_solve_the_inverse(monkeypatch):
+    def solve(n, terms, columns):
+        raise AssertionError("the inverse was solved")
+
+    monkeypatch.setattr(symfunc, "_combine", solve)
+    for d in range(7):
+        table = symfunc.KostkaTable(d)
+        for maps, basis in (("to_s", "h"), ("to_s", "e"), ("from_s", "m")):
+            assert len(getattr(table, maps)[basis]) == len(table.partitions)
+        assert "h" not in table.from_s
 
 
 def test_conversion_examples():
