@@ -224,7 +224,9 @@ class KostkaTable:
         self.to_s = _Maps(
             {"h": h_to_s}, m=lambda: _transpose(self.from_s["h"]), e=self._e_to_s
         )
-        self.from_s = _Maps({}, h=self._s_to_h, m=lambda: _transpose(h_to_s), e=self._s_to_e)
+        self.from_s = _Maps(
+            {}, h=self._s_to_h, m=lambda: _transpose(self.to_s["h"]), e=self._s_to_e
+        )
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
         return self.to_s["h"][Partition(mu)].get(Partition(lam), 0)
