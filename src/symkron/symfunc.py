@@ -25,11 +25,12 @@ to the internal product is ``grouporacle.permutation_character`` through it.
 The Jacobi-Trudi determinants and the brute-force character table, second
 routes to the same tables, live in :mod:`symkron.grouporacle` as checks.
 
-``SymFunc.terms`` is `fractions.Fraction`-valued.  A conversion scales its
-terms to integers by their common denominator, runs every sum on Python ints
-(the Kostka matrix and its inverse, character values, margin counts) and
-divides each output term by that denominator, if it is not 1; only the
-``1/z_rho`` of ``s -> p`` brings in a further ``Fraction``.  Integrality is
+``SymFunc.terms`` is `fractions.Fraction`-valued.  Inner loops run on Python
+ints wherever the theory gives integers (the Kostka matrix and its inverse,
+character values, margin counts).  A conversion to or from p first scales
+its terms to ints by their common denominator and divides each output term
+by it once, so only that division, the ``1/z_rho`` of ``s -> p`` and
+rational input on the other paths bring in a ``Fraction``.  Integrality is
 asserted where the theory demands it instead of being assumed.  SymFunc
 values are immutable; per-degree tables are built once, and each of their
 maps is stored once complete and then only read.
@@ -378,36 +379,41 @@ def _convert_terms(
     """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
 
     h, m and e read the :class:`KostkaTable` of ``d``; p reads the characters
-    and builds no Kostka table.  Non-integral terms are first scaled to ints
-    by the common denominator of all terms, so every sum runs on ints and
-    only the output terms are divided: by ``z_rho`` in
-    :func:`characteristic_map` on s -> p, and by that denominator if it is not
-    1.  So integer inputs stay ints except on s -> p.  Zero coefficients are
-    skipped on the way and dropped from the result, so its keys are those, in
-    the order, that a ``SymFunc`` built on it would store.
+    and builds no Kostka table.  Sums start from the int 0, so integer inputs
+    stay ints on the Kostka paths.  On a p path the terms are first scaled to
+    ints by their common denominator, so every sum runs on ints, and each
+    output term is divided once by that denominator, if it is not 1; s -> p
+    also divides by ``z_rho`` in :func:`characteristic_map`.  Zero
+    coefficients are skipped on the way and dropped from the result, so its
+    keys are those, in the order, that a ``SymFunc`` built on it would store.
     """
-    den = lcm(*map(_denominator, terms.values()))
-    if den != 1:
-        terms = {lam: c.numerator * (den // c.denominator) for lam, c in terms.items()}
-    if basis == "p" and target != "p":
-        terms = {
+    if target == basis:
+        return _nonzero(terms)
+    den = 1
+    if "p" in (basis, target):
+        den = lcm(*map(_denominator, terms.values()))
+        if den != 1:
+            terms = {lam: c.numerator * (den // c.denominator) for lam, c in terms.items()}
+    mid = terms
+    if basis == "p":
+        mid = {
             lam: sum(c * character_value(lam, rho) for rho, c in terms.items())
             for lam in enumerate_partitions(d)
         }
-    elif basis not in ("s", target):
-        terms = _expand(terms, build_kostka_table(d).to_s[basis].__getitem__)
-    if target == "p" and basis != "p":
+    elif basis != "s":
+        mid = _expand(terms, build_kostka_table(d).to_s[basis].__getitem__)
+    if target == "p":
         # ch of the integer class function: the sum of c_lam chi^lam.
         chi = tuple(
-            sum(c * character_value(lam, rho) for lam, c in terms.items())
+            sum(c * character_value(lam, rho) for lam, c in mid.items())
             for rho in enumerate_partitions(d)
         )
-        terms = characteristic_map(d, chi).terms
-    elif target not in ("s", basis):
-        terms = _expand(terms, build_kostka_table(d).from_s[target].__getitem__)
+        mid = characteristic_map(d, chi).terms
+    elif target != "s":
+        mid = _expand(mid, build_kostka_table(d).from_s[target].__getitem__)
     if den == 1:
-        return _nonzero(terms)
-    return {lam: Fraction(c, den) for lam, c in terms.items() if c}
+        return _nonzero(mid)
+    return {lam: Fraction(c, den) for lam, c in mid.items() if c}
 
 
 def _terms_in(f: SymFunc, target: str) -> dict:

@@ -5,7 +5,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symkron.combinat import (
     centralizer_order,
@@ -53,23 +53,41 @@ def test_degree_counts_standard_tableaux(lam):
     assert character_value(lam, (1,) * sum(lam)) == count_standard_tableaux(lam)
 
 
-# 11, 13 and 97 divide no d! with d <= 7; 16 and 49 divide 7! but not 4!.
+# Nonzero, so every term is present; 11, 13 and 97 divide no d! with d <= 7,
+# and 16 and 49 divide 7! but not 4!.
 rationals = st.builds(
-    Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7, 11, 13, 16, 49, 97])
+    Fraction,
+    st.integers(1, 9) | st.integers(-9, -1),
+    st.sampled_from([1, 2, 3, 7, 11, 13, 16, 49, 97]),
 )
 
 
-def _combinations(d):
-    parts = enumerate_partitions(d)
-    return st.builds(
-        lambda basis, coeffs: SymFunc(basis, d, dict(zip(parts, coeffs))),
-        st.sampled_from("mehs"),
-        st.lists(rationals, min_size=len(parts), max_size=len(parts)),
-    )
+def _combinations(bases):
+    def of_degree(d):
+        parts = enumerate_partitions(d)
+        return st.builds(
+            lambda basis, coeffs: SymFunc(basis, d, dict(zip(parts, coeffs))),
+            st.sampled_from(bases),
+            st.lists(rationals, min_size=len(parts), max_size=len(parts)),
+        )
+
+    return st.integers(min_value=0, max_value=7).flatmap(of_degree)
+
+
+def _dense(basis):
+    """Every partition of 7, each with a positive coefficient over 11 or 13.
+
+    In the h basis every Schur coefficient is then positive, so one wrong
+    character value anywhere in s -> p shows; in the p basis every power sum
+    is present, so one anywhere in p -> s shows.
+    """
+    parts = enumerate_partitions(7)
+    return SymFunc(basis, 7, {lam: Fraction(i + 1, 11 + i % 2 * 2) for i, lam in enumerate(parts)})
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=7).flatmap(_combinations))
+@given(_combinations("mehs"))
+@example(_dense("h"))
 def test_power_sum_conversions_are_exact(f):
     # s_lam = sum over rho of chi^lam(rho) / z_rho p_rho, added up term by term.
     in_s = convert(f, "s")
@@ -82,3 +100,15 @@ def test_power_sum_conversions_are_exact(f):
     assert convert(f, "p") == in_p
     assert convert(in_p, "s") == in_s
     assert convert(in_p, f.basis) == f
+
+
+@settings(deadline=None, max_examples=60)
+@given(_combinations("p"))
+@example(_dense("p"))
+def test_power_sums_convert_to_schur_exactly(f):
+    # p_rho = sum over lam of chi^lam(rho) s_lam, added up term by term.
+    expected = {}
+    for rho, c in f.terms.items():
+        for lam in enumerate_partitions(f.degree):
+            expected[lam] = expected.get(lam, 0) + c * character_value(lam, rho)
+    assert convert(f, "s") == SymFunc("s", f.degree, expected)
