@@ -7,6 +7,14 @@ row-major as a composition and sorted to a partition.  The decomposition
 itself is counted row by row, like ``hom_dimension``, and never builds a
 matrix; only the listing materializes them.
 
+Transposing a matrix keeps its class, so both counts are symmetric in the
+two margins.  They walk the rows of the margin with more parts, the shorter
+margin giving the column budgets, and stop when one row or one column is
+left, since the rest of the matrix is then forced.  The walk recurses once
+per row, so a margin with more than ``_MAX_WALK_ROWS`` parts gives the
+budgets instead; a walk that is still about a thousand rows deep, such as
+``2^1000`` against ``1^2000``, is refused at Python's recursion limit.
+
 Enumeration order is canonical and documented: matrices are produced in
 lexicographically descending order of their row-major entry vector, so
 output is byte-stable across runs.
@@ -105,27 +113,56 @@ def decompose_permutation_tensor(lam: Iterable[int], mu: Iterable[int]) -> dict[
     partition; the result maps each class to its multiplicity, keys in
     canonical partition order.  The matrices only index the summands: the
     classes are counted row by row, memoized on the remaining row sums and
-    the sorted column budgets, without building any matrix.
+    the sorted column budgets, without building any matrix.  Transposing a
+    matrix keeps its class, so the result is symmetric in ``lam`` and ``mu``;
+    the rows run along the margin with more parts.  Partitions of one degree
+    are taken as they are; any other input is checked and sorted once.
     """
-    lam, mu = _check_degrees(lam, mu)
-    counts = _count_classes(sort_to_partition(lam), sort_to_partition(mu))
-    return {Partition(p): counts[p] for p in sorted(counts, reverse=True)}
+    rows, budgets = _walk(lam, mu)
+    counts = _count_classes(rows, budgets)
+    # Keys are sorted tuples of positive entries, built by the count itself.
+    return {tuple.__new__(Partition, p): counts[p] for p in sorted(counts, reverse=True)}
+
+
+# Margins with more parts than this walk the shorter margin's rows instead, so
+# that the recursion, one level per row, stays within Python's limit.
+_MAX_WALK_ROWS = 500
+
+
+def _walk(lam: Iterable[int], mu: Iterable[int]) -> tuple[Partition, Partition]:
+    """Row sums and column budgets for a count, each sorted without zeros.
+
+    Permuting rows or columns, dropping zero ones, or transposing the matrix
+    keeps both the count and the class multiset.  More rows mean fewer
+    budgets, so fewer bounded compositions per row.
+    """
+    if not (type(lam) is Partition and type(mu) is Partition and sum(lam) == sum(mu)):
+        lam, mu = _check_degrees(lam, mu)
+        lam, mu = sort_to_partition(lam), sort_to_partition(mu)
+    if len(lam) < len(mu):
+        lam, mu = mu, lam
+    if len(lam) > _MAX_WALK_ROWS:
+        lam, mu = mu, lam
+    return lam, mu
 
 
 @lru_cache(maxsize=None)
 def _count_classes(
     row_sums: tuple[int, ...], budgets: tuple[int, ...]
 ) -> dict[tuple[int, ...], int]:
-    # Permuting rows or columns, or dropping zero ones, keeps the class
-    # multiset, so both margins arrive sorted without zeros.  The cached dict
-    # is shared: read it, never hand it out.
-    if not row_sums:
-        return {(): 1}
+    # Both margins arrive sorted without zeros.  One row or one column left
+    # is forced: the row is the budgets, the column the row sums.  The cached
+    # dict is shared: read it, never hand it out.
+    if len(row_sums) <= 1:
+        return {budgets: 1}
+    if len(budgets) == 1:
+        return {row_sums: 1}
     out: dict[tuple[int, ...], int] = {}
+    rest_rows = row_sums[1:]
     for row in _bounded_compositions(row_sums[0], budgets):
         rest = tuple(sorted((b - r for b, r in zip(budgets, row) if b > r), reverse=True))
         entries = tuple(r for r in row if r)
-        for cls, mult in _count_classes(row_sums[1:], rest).items():
+        for cls, mult in _count_classes(rest_rows, rest).items():
             key = tuple(sorted(cls + entries, reverse=True))
             out[key] = out.get(key, 0) + mult
     return out
@@ -134,20 +171,21 @@ def _count_classes(
 def hom_dimension(lam: Iterable[int], mu: Iterable[int]) -> int:
     """Number of matrices with the given margins, without materializing them.
 
-    Counts row by row; the count from a partially filled matrix depends only
-    on the multiset of remaining column budgets, which keeps the memo table
-    small.
+    Counts row by row along the same walk as ``decompose_permutation_tensor``,
+    so it is symmetric too; the count from a partially filled matrix depends
+    only on the remaining rows and the multiset of remaining column budgets,
+    which keeps the memo table small.
     """
-    lam, mu = _check_degrees(lam, mu)
-    return _count_tables(tuple(lam), tuple(sorted(mu, reverse=True)))
+    return _count_tables(*_walk(lam, mu))
 
 
 @lru_cache(maxsize=None)
 def _count_tables(row_sums: tuple[int, ...], budgets: tuple[int, ...]) -> int:
-    if not row_sums:
+    if len(row_sums) <= 1 or len(budgets) == 1:
         return 1
     total = 0
+    rest_rows = row_sums[1:]
     for row in _bounded_compositions(row_sums[0], budgets):
-        rest = tuple(sorted((b - r for b, r in zip(budgets, row)), reverse=True))
-        total += _count_tables(row_sums[1:], rest)
+        rest = tuple(sorted((b - r for b, r in zip(budgets, row) if b > r), reverse=True))
+        total += _count_tables(rest_rows, rest)
     return total

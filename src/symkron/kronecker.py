@@ -21,7 +21,9 @@ from .errors import DegreeMismatchError, InternalConsistencyError
 @lru_cache(maxsize=None)
 def _kronecker_h(lam: Partition, mu: Partition) -> dict[Partition, int]:
     # Called with lam >= mu only: transposing a margin matrix keeps its class,
-    # so the two orders share one entry.  The cached dict is shared: read it,
+    # so the two orders share one entry.  Both are partitions of one degree,
+    # which the margin rule takes without checking them again; it walks the
+    # rows of the one with more parts.  The cached dict is shared: read it,
     # never hand it out.
     return decompose_permutation_tensor(lam, mu)
 

@@ -245,12 +245,29 @@ def test_deep_inputs(capsys):
     # Many parts: the composition walk keeps no stack.
     code, out, _ = run_cli(capsys, "compositions", "--n", "1200", "--d", "1")
     assert code == 0 and len(out.splitlines()) == 1200
-    # Many rows: every row is one level of recursion, so these are refused.
+    # Many rows: a margin with more than 500 parts gives the column budgets,
+    # and a count stops where one row or one column is left, so these answer
+    # in both orders of the margins.
     ones = ",".join("1" * 1100)
+    for lam, mu, count, pieces in (
+        (ones, "1100", 1, f"M[{ones}]"),
+        (ones, "1099,1", 1100, f"1100*M[{ones}]"),
+    ):
+        for a, b in ((lam, mu), (mu, lam)):
+            assert run_cli(capsys, "contingency", "--lambda", a, "--mu", b, "--count-only") == (
+                0, f"{count}\n", ""
+            )
+            assert run_cli(capsys, "decompose-perm", "--lambda", a, "--mu", b) == (0, f"{pieces}\n", "")
+    # A walk that stays a thousand rows deep, and a Kostka column with a
+    # thousand parts of content, are refused.
+    twos = ",".join("2" * 1000)
+    ones = ",".join("1" * 2000)
     for argv in (
-        ["contingency", "--lambda", ones, "--mu", "1100", "--count-only"],
-        ["decompose-perm", "--lambda", ones, "--mu", "1100"],
-        ["kostka", "--shape", "1100", "--content", ones],
+        ["contingency", "--lambda", twos, "--mu", ones, "--count-only"],
+        ["contingency", "--lambda", ones, "--mu", twos, "--count-only"],
+        ["decompose-perm", "--lambda", twos, "--mu", ones],
+        ["decompose-perm", "--lambda", ones, "--mu", twos],
+        ["kostka", "--shape", "1100", "--content", ",".join("1" * 1100)],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=60

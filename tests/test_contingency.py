@@ -4,6 +4,11 @@ from collections import Counter
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the margin property below needs it
+    given = None
+
 from symkron import contingency
 from symkron.combinat import enumerate_compositions, enumerate_partitions, multinomial
 from symkron.contingency import (
@@ -132,6 +137,49 @@ def _brute_decompose(lam, mu):
         tuple(sorted((v for row in rows for v in row if v), reverse=True))
         for rows in brute_contingency(lam, mu)
     )
+
+
+def _check_both_orders(lam, mu):
+    expected = _brute_decompose(lam, mu)
+    got = decompose_permutation_tensor(lam, mu)
+    assert got == decompose_permutation_tensor(mu, lam) == expected
+    assert list(got) == sorted(got, reverse=True)
+    assert sum(got.values()) == hom_dimension(lam, mu) == hom_dimension(mu, lam)
+
+
+def test_forced_rows_and_columns_in_both_orders():
+    # One row or one column, before or after dropping zeros, and walks that
+    # reach one column after some rows.
+    for lam, mu in [
+        ((), ()),
+        ((0,), (0, 0)),
+        ((5,), (2, 0, 2, 1)),
+        ((0, 4, 0), (1, 1, 1, 1)),
+        ((7,), (3, 2, 1, 1)),
+        ((1,) * 6, (6,)),
+        ((1,) * 6, (5, 1)),
+        ((3, 1, 1, 1), (5, 1)),
+        ((2, 2, 1, 1), (3, 3)),
+    ]:
+        _check_both_orders(lam, mu)
+
+
+if given is not None:
+
+    @st.composite
+    def _margin_pair(draw):
+        d = draw(st.integers(0, 7))
+
+        def composition():
+            cuts = sorted(draw(st.lists(st.integers(0, d), max_size=5)))
+            return tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
+
+        return composition(), composition()
+
+    @settings(deadline=None, max_examples=150)
+    @given(_margin_pair())
+    def test_margin_rule_is_symmetric_and_matches_the_listing(pair):
+        _check_both_orders(*pair)
 
 
 def test_decompose_matches_brute_force_matrices():
