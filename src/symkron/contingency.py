@@ -11,9 +11,10 @@ Transposing a matrix keeps its class, so both counts are symmetric in the
 two margins.  They walk the rows of the margin with more parts, the shorter
 margin giving the column budgets, and stop when one row or one column is
 left, since the rest of the matrix is then forced.  The walk recurses once
-per row, so a margin with more than ``_MAX_WALK_ROWS`` parts gives the
-budgets instead; a walk that is still about a thousand rows deep, such as
-``2^1000`` against ``1^2000``, is refused at Python's recursion limit.
+per row, so when the longer margin has too many parts for the recursion
+room left, the rows run along the first margin, as given; a walk that is
+then still too deep, such as ``1^1100`` against ``1099,1``, is refused at
+Python's recursion limit.
 
 Enumeration order is canonical and documented: matrices are produced in
 lexicographically descending order of their row-major entry vector, so
@@ -23,6 +24,7 @@ output is byte-stable across runs.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
@@ -115,8 +117,9 @@ def decompose_permutation_tensor(lam: Iterable[int], mu: Iterable[int]) -> dict[
     classes are counted row by row, memoized on the remaining row sums and
     the sorted column budgets, without building any matrix.  Transposing a
     matrix keeps its class, so the result is symmetric in ``lam`` and ``mu``;
-    the rows run along the margin with more parts.  Partitions of one degree
-    are taken as they are; any other input is checked and sorted once.
+    the rows run along the margin with more parts when they fit in the
+    recursion limit.  Partitions of one degree are taken as they are; any
+    other input is checked and sorted once.
     """
     rows, budgets = _walk(lam, mu)
     counts = _count_classes(rows, budgets)
@@ -124,26 +127,40 @@ def decompose_permutation_tensor(lam: Iterable[int], mu: Iterable[int]) -> dict[
     return {tuple.__new__(Partition, p): counts[p] for p in sorted(counts, reverse=True)}
 
 
-# Margins with more parts than this walk the shorter margin's rows instead, so
-# that the recursion, one level per row, stays within Python's limit.
-_MAX_WALK_ROWS = 500
-
-
 def _walk(lam: Iterable[int], mu: Iterable[int]) -> tuple[Partition, Partition]:
     """Row sums and column budgets for a count, each sorted without zeros.
 
     Permuting rows or columns, dropping zero ones, or transposing the matrix
     keeps both the count and the class multiset.  More rows mean fewer
-    budgets, so fewer bounded compositions per row.
+    budgets, so fewer bounded compositions per row.  A second margin with
+    more parts gives the rows only if they fit in the recursion room left;
+    otherwise the rows stay on the first margin, as given, since a short
+    margin's rows over many budgets can take far longer than a refusal.
     """
     if not (type(lam) is Partition and type(mu) is Partition and sum(lam) == sum(mu)):
         lam, mu = _check_degrees(lam, mu)
         lam, mu = sort_to_partition(lam), sort_to_partition(mu)
-    if len(lam) < len(mu):
-        lam, mu = mu, lam
-    if len(lam) > _MAX_WALK_ROWS:
+    if len(lam) < len(mu) and _fits(len(mu)):
         lam, mu = mu, lam
     return lam, mu
+
+
+# Units of the recursion limit kept for calls above the count that make no
+# Python frame, such as the caches between a command and the count.
+_SPARE_DEPTH = 50
+
+
+def _fits(rows: int) -> bool:
+    """Whether a walk of ``rows`` rows stays within the recursion limit.
+
+    Each row costs two units of the limit, the count's frame and the call
+    through its cache (CPython 3.10-3.12; 3.13 counts the frame only); the
+    frames already on the stack use the rest.
+    """
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return 2 * rows + depth + _SPARE_DEPTH < sys.getrecursionlimit()
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -245,36 +246,44 @@ def test_deep_inputs(capsys):
     # Many parts: the composition walk keeps no stack.
     code, out, _ = run_cli(capsys, "compositions", "--n", "1200", "--d", "1")
     assert code == 0 and len(out.splitlines()) == 1200
-    # Many rows: a margin with more than 500 parts gives the column budgets,
-    # and a count stops where one row or one column is left, so these answer
-    # in both orders of the margins.
-    ones = ",".join("1" * 1100)
-    for lam, mu, count, pieces in (
-        (ones, "1100", 1, f"M[{ones}]"),
-        (ones, "1099,1", 1100, f"1100*M[{ones}]"),
-    ):
-        for a, b in ((lam, mu), (mu, lam)):
-            assert run_cli(capsys, "contingency", "--lambda", a, "--mu", b, "--count-only") == (
-                0, f"{count}\n", ""
-            )
-            assert run_cli(capsys, "decompose-perm", "--lambda", a, "--mu", b) == (0, f"{pieces}\n", "")
-    # A walk that stays a thousand rows deep, and a Kostka column with a
-    # thousand parts of content, are refused.
-    twos = ",".join("2" * 1000)
-    ones = ",".join("1" * 2000)
-    for argv in (
-        ["contingency", "--lambda", twos, "--mu", ones, "--count-only"],
-        ["contingency", "--lambda", ones, "--mu", twos, "--count-only"],
-        ["decompose-perm", "--lambda", twos, "--mu", ones],
-        ["decompose-perm", "--lambda", ones, "--mu", twos],
-        ["kostka", "--shape", "1100", "--content", ",".join("1" * 1100)],
-    ):
+    # Many rows run in a child process, so that a walk that would never
+    # finish fails on the timeout.
+    def cli(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=60
         )
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and "recursion limit" in proc.stderr
-        assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+        return proc.returncode, proc.stdout, proc.stderr
+
+    # A count stops where one row or one column is left, so these answer in
+    # both orders of the margins.  A second margin with more parts gives the
+    # rows while they fit in the recursion limit: 1^300 against 150,150 walks
+    # 300 rows over two budgets in either order, not 150 over 300 budgets.
+    ones = ",".join("1" * 1100)
+    units = ",".join("1" * 300)
+    pairs = comb(300, 150)
+    for lam, mu, count, pieces in (
+        (ones, "1100", 1, f"M[{ones}]"),
+        (units, "150,150", pairs, f"{pairs}*M[{units}]"),
+    ):
+        for a, b in ((lam, mu), (mu, lam)):
+            assert cli("contingency", "--lambda", a, "--mu", b, "--count-only") == (0, f"{count}\n", "")
+            assert cli("decompose-perm", "--lambda", a, "--mu", b) == (0, f"{pieces}\n", "")
+    # A longer second margin that does not fit leaves the rows on the first
+    # margin: 1099,1 against 1^1100 walks two rows and answers.
+    assert cli("contingency", "--lambda", "1099,1", "--mu", ones, "--count-only") == (0, "1100\n", "")
+    assert cli("decompose-perm", "--lambda", "1099,1", "--mu", ones) == (0, f"1100*M[{ones}]\n", "")
+    # A first margin with too many rows is refused, not walked the other way
+    # (550,550 over 1100 unit budgets would never finish), and so is a Kostka
+    # column with a thousand parts of content.
+    argvs = [["kostka", "--shape", "1100", "--content", ones]]
+    for mu in ("1099,1", "550,550"):
+        argvs.append(["contingency", "--lambda", ones, "--mu", mu, "--count-only"])
+        argvs.append(["decompose-perm", "--lambda", ones, "--mu", mu])
+    for argv in argvs:
+        code, out, err = cli(*argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "recursion limit" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_degree_mismatch_margins(capsys):

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -161,6 +162,19 @@ def test_forced_rows_and_columns_in_both_orders():
         ((3, 1, 1, 1), (5, 1)),
         ((2, 2, 1, 1), (3, 3)),
     ]:
+        _check_both_orders(lam, mu)
+
+
+def test_longer_second_margin_walks_only_within_the_recursion_limit(monkeypatch):
+    limit = sys.getrecursionlimit()
+    assert contingency._fits(10) and not contingency._fits(limit // 2)
+    assert contingency._walk((2, 2), (1, 1, 1, 1)) == ((1, 1, 1, 1), (2, 2))
+    # Without room for the second margin's rows, the first margin gives them,
+    # with the same results.
+    monkeypatch.setattr(contingency, "_fits", lambda rows: False)
+    assert contingency._walk((2, 2), (1, 1, 1, 1)) == ((2, 2), (1, 1, 1, 1))
+    assert contingency._walk((1, 1, 1, 1), (2, 2)) == ((1, 1, 1, 1), (2, 2))
+    for lam, mu in [((2, 2), (1, 1, 1, 1)), ((3, 1), (1, 1, 1, 1)), ((4, 2), (2, 1, 1, 1, 1))]:
         _check_both_orders(lam, mu)
 
 
