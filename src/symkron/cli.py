@@ -357,6 +357,8 @@ def _read_args(argv: list[str]) -> SimpleNamespace:
     order; integer values follow ``parse_int``.  As in argparse, ``-h`` prints
     help where it stands, a bad value is refused at once, then a missing
     required flag, and last every unknown token (``--form``, ``--d=2``, ``--``).
+    Unlike argparse, it takes a dash-led token after ``--expr`` as the
+    expression, unless it is ``-h`` or led by ``--``.
     """
     command, arguments, given, unknown = None, {}, {}, []
     tokens = iter(argv)
@@ -374,7 +376,11 @@ def _read_args(argv: list[str]) -> SimpleNamespace:
             given[token] = True
         else:
             value = next(tokens, None)
-            if value is None or _is_flag(value):
+            if token == "--expr":  # an expression may lead with a minus, as in -s[1]
+                missing = value is None or value == "-h" or value.startswith("--")
+            else:
+                missing = value is None or _is_flag(value)
+            if missing:
                 _refuse(command, f"argument {token}: expected one argument")
             if options.get("type") is int:
                 try:

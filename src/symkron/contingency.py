@@ -85,7 +85,8 @@ def contingency_matrices(lam: Iterable[int], mu: Iterable[int]) -> list[Continge
     """All matrices with row sums ``lam`` and column sums ``mu``.
 
     Rows are generated one at a time as bounded compositions of the row sum,
-    the bounds being the remaining column budgets.  More than
+    the bounds being the remaining column budgets, depth first on an explicit
+    stack, so the listing keeps no Python frame per row.  More than
     ``MAX_LISTED_MATRICES`` matrices, counted by ``hom_dimension`` first,
     are refused before any is built.
     """
@@ -96,15 +97,18 @@ def contingency_matrices(lam: Iterable[int], mu: Iterable[int]) -> list[Continge
             f"{count} margin matrices exceed the listing cap of {MAX_LISTED_MATRICES}"
         )
     out: list[ContingencyMatrix] = []
-
-    def fill(i: int, budgets: tuple[int, ...], acc: tuple[tuple[int, ...], ...]) -> None:
-        if i == len(lam):
+    # (rows so far, budgets left); each node's next rows are pushed in
+    # reverse, so they come off in canonical order.
+    stack = [((), tuple(mu))]
+    while stack:
+        acc, budgets = stack.pop()
+        if len(acc) == len(lam):
             out.append(ContingencyMatrix(acc, lam, mu))
-            return
-        for row in _bounded_compositions(lam[i], budgets):
-            fill(i + 1, tuple(b - r for b, r in zip(budgets, row)), acc + (row,))
-
-    fill(0, tuple(mu), ())
+            continue
+        rows = list(_bounded_compositions(lam[len(acc)], budgets))
+        stack.extend(
+            (acc + (row,), tuple(b - r for b, r in zip(budgets, row))) for row in reversed(rows)
+        )
     return out
 
 

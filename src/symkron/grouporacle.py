@@ -10,19 +10,23 @@ permutations, so it can cross-check the structural rules implemented in
   the adjacent transpositions through :func:`act`, never by scanning a group;
 * tensor products of two such modules are decomposed into the orbits of
   basis pairs, walked on index maps of the generators; every member of an
-  orbit must carry the same multiset of value pairs as its start, and the
-  orbit size must be the multinomial of their overlap matrix;
+  orbit must carry the same multiset of value pairs as its start, compared
+  as the sorted list of one integer code per pair, and the orbit size must
+  be the multinomial of their overlap matrix;
 * Specht ranks: the signed column sum is the closure of the column word
   under the transpositions inside each column, and its orbit the closure of
   that vector under all of them, up to sign;
 * a character is a tuple of values in canonical cycle-type order; the
   permutation characters count fixed tuples under one representative per
-  class, and Gram-Schmidt over them gives the irreducible characters, which
-  checks the Murnaghan-Nakayama characters of symfunc.  The character route
+  class, every tuple tested at every position, in bulk on the basis packed
+  column by column into integers with a byte per tuple.  Gram-Schmidt over
+  them gives the irreducible characters, which checks the
+  Murnaghan-Nakayama characters of symfunc.  The character route
   to the internal product is :func:`permutation_character` through
   :func:`symkron.symfunc.characteristic_map`;
 * Schur functions are expanded in the h and e bases by the Jacobi-Trudi
-  determinants, which check the Kostka-table conversions of symfunc.
+  determinants, summed over every permutation, which check the Kostka-table
+  conversions of symfunc.
 
 Permutation convention: a permutation of degree d is a tuple of 1-based
 images, composition is ``(sigma tau)(t) = sigma(tau(t))``, and the place
@@ -44,8 +48,8 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache, partial
-from operator import itemgetter
+from functools import lru_cache
+from operator import add
 
 from . import symfunc
 from .combinat import (
@@ -191,7 +195,9 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
     every orbit this verifies, rather than assumes, that all members share
     the multiset of value pairs ``zip(i, j)`` of its start (which is the
     value-overlap matrix) and that the orbit size is the multinomial of that
-    matrix; the orbit's class is the matrix's nonzero entries, sorted.
+    matrix; the orbit's class is the matrix's nonzero entries, sorted.  Each
+    member's pairs are compared as the sorted codes ``x * scale + y``, one
+    integer per value pair, with ``scale`` above every value of ``j``.
     """
     lam, mu = _check_degrees(lam, mu)
     d = lam.degree
@@ -200,12 +206,14 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
     right = enumerate_tuples(mu)
     gens = _adjacent_transpositions(d)
     maps = list(zip(_index_maps(gens, left), _index_maps(gens, right)))
+    scale = len(mu) + 1
+    scaled_left = [[x * scale for x in i] for i in left]
 
     width = len(right)
     seen = bytearray(len(left) * width)
     classes: Counter[Partition] = Counter()
-    for a0, i0 in enumerate(left):
-        for b0, j0 in enumerate(right):
+    for a0 in range(len(left)):
+        for b0 in range(width):
             if seen[a0 * width + b0]:
                 continue
             seen[a0 * width + b0] = 1
@@ -217,14 +225,14 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
                     if not seen[na * width + nb]:
                         seen[na * width + nb] = 1
                         orbit.append((na, nb))
-            pairs = sorted(zip(i0, j0))
+            codes = sorted(map(add, scaled_left[a0], right[b0]))
             for a, b in orbit:
-                if sorted(zip(left[a], right[b])) != pairs:
+                if sorted(map(add, scaled_left[a], right[b])) != codes:
                     raise InternalConsistencyError(
                         "orbit members disagree on the overlap matrix"
                     )
             # The nonzero overlap-matrix entries, row-major.
-            overlap = tuple(Counter(pairs).values())
+            overlap = tuple(Counter(codes).values())
             if len(orbit) != multinomial(d, overlap):
                 raise InternalConsistencyError(
                     f"orbit size {len(orbit)} differs from multinomial of {overlap}"
@@ -238,14 +246,24 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
 
 @lru_cache(maxsize=None)
 def _perm_char(lam: Composition) -> tuple[int, ...]:
-    d = lam.degree
+    """Fixed basis tuples per cycle type, every tuple tested at every position.
+
+    Column t of the basis is packed into one int, a byte per tuple holding
+    the rank of its entry among the values that occur (at most 8 under the
+    cap, while an entry itself can exceed 255).  A tuple is fixed by ``rep``
+    when it agrees with its image ``act(rep, t)`` at every position, that is
+    when its byte is zero in the OR over t of ``column[t] ^ column[rep[t]-1]``.
+    """
     tuples = enumerate_tuples(lam)
+    # The first tuple is the sorted word, holding every value that occurs.
+    rank = {value: r for r, value in enumerate(sorted(set(tuples[0])))}
+    columns = [int.from_bytes(bytes(map(rank.__getitem__, col)), "little") for col in zip(*tuples)]
     row = []
-    for rho in enumerate_partitions(d):
-        rep = representative_permutation(rho)
-        # itemgetter() needs an index, and with one index it returns an entry.
-        moved = itemgetter(*(s - 1 for s in rep)) if d > 1 else partial(act, rep)
-        row.append(sum(1 for t in tuples if moved(t) == t))
+    for rho in enumerate_partitions(lam.degree):
+        diff = 0
+        for t, s in enumerate(representative_permutation(rho)):
+            diff |= columns[t] ^ columns[s - 1]
+        row.append(diff.to_bytes(len(tuples), "little").count(0))
     return tuple(row)
 
 
@@ -308,16 +326,18 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
 def _det_expansion(parts: tuple[int, ...]) -> dict[Partition, int]:
     """Signed expansion of ``det(x_{parts[i] - i + j})`` with x_0 = 1, x_{<0} = 0.
 
-    Each permutation contributes its sign on the sorted tuple of positive
-    indices; the result maps partitions to integer coefficients.  Refuses
-    more than 8! permutations before any work.
+    Each of the n! permutations contributes its sign on the sorted tuple of
+    positive indices, ``parts[i] - i - 1`` plus its image of ``i``, and is
+    skipped when one of them is negative; the result maps partitions to
+    integer coefficients.  Refuses more than 8! permutations before any work.
     """
     n = len(parts)
     _refuse_above(MAX_GROUP_ORDER, math.factorial(n), "determinant terms")
     acc: dict[Partition, int] = {}
+    base = [p - i - 1 for i, p in enumerate(parts)]
     for perm in itertools.permutations(range(1, n + 1)):
-        idx = [parts[i] - i + perm[i] - 1 for i in range(n)]
-        if any(k < 0 for k in idx):
+        idx = list(map(add, base, perm))
+        if min(idx, default=0) < 0:
             continue
         key = Partition(sorted((k for k in idx if k > 0), reverse=True))
         acc[key] = acc.get(key, 0) + perm_sign(perm)

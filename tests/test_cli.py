@@ -110,6 +110,12 @@ def test_kron_command(capsys):
     assert code == 0 and out == "2*h[2,1,1] + h[1,1,1,1]\n"
     code, out, _ = run_cli(capsys, "kron", "--expr", "s[1,1] # s[1,1]", "--basis", "s")
     assert code == 0 and out == "s[2]\n"
+    # A dash-led expression is the value of --expr; -h and --flags are not.
+    code, out, _ = run_cli(capsys, "kron", "--expr", "-s[1]")
+    assert code == 0 and out == "-s[1]\n"
+    for token in ("-h", "--basis"):
+        code, _, err = run_cli(capsys, "kron", "--expr", token)
+        assert code == 2 and err.endswith("error: argument --expr: expected one argument\n")
 
 
 def test_convert_command(capsys):
@@ -117,6 +123,8 @@ def test_convert_command(capsys):
     assert code == 0 and out == "s[2] + s[1,1]\n"
     code, out, _ = run_cli(capsys, "convert", "--expr", "s[2] . s[1]", "--basis", "s")
     assert code == 0 and out == "s[3] + s[2,1]\n"
+    code, out, _ = run_cli(capsys, "convert", "--expr", "-h[2]", "--basis", "s")
+    assert code == 0 and out == "-s[2]\n"
 
 
 def test_convert_json_round_trip(capsys):
@@ -268,6 +276,17 @@ def test_deep_inputs(capsys):
         for a, b in ((lam, mu), (mu, lam)):
             assert cli("contingency", "--lambda", a, "--mu", b, "--count-only") == (0, f"{count}\n", "")
             assert cli("decompose-perm", "--lambda", a, "--mu", b) == (0, f"{pieces}\n", "")
+    # The listing keeps no frame per row, so the one matrix of 1^1100 against
+    # 1100 is listed in both orders too.
+    column = {"rows": [[1]] * 1100, "row_sums": [1] * 1100, "col_sums": [1100]}
+    row = {"rows": [[1] * 1100], "row_sums": [1100], "col_sums": [1] * 1100}
+    for a, b, matrix, text in (
+        (ones, "1100", column, "1\n" * 1100),
+        ("1100", ones, row, f"{ones}\n"),
+    ):
+        assert cli("contingency", "--lambda", a, "--mu", b) == (0, text, "")
+        listed = f"M[{ones}]\n{json.dumps(matrix)}\n"
+        assert cli("decompose-perm", "--lambda", a, "--mu", b, "--show-matrices") == (0, listed, "")
     # A longer second margin that does not fit leaves the rows on the first
     # margin: 1099,1 against 1^1100 walks two rows and answers.
     assert cli("contingency", "--lambda", "1099,1", "--mu", ones, "--count-only") == (0, "1100\n", "")
@@ -414,10 +433,27 @@ def _argparse_only(token):
     return not token.isascii() or "_" in token or "+" in token
 
 
+def _joined_expr(argv):
+    """``argv`` with each dash-led value after ``--expr`` spelled ``--expr=value``.
+
+    The reader takes ``--expr -s[1]`` as the expression ``-s[1]``, where
+    argparse sees two flags; argparse reads the joined spelling so.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--expr" and token[:1] == "-" and token[:2] != "--" and token != "-h":
+            out[-1] = f"--expr={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _check_reader(argv):
     """The reader gives argparse's namespace or exit code, except that it refuses an
-    argparse-only spelling (or prints help for a ``-h`` after one)."""
-    ours, reference = _outcome(_read_args, argv), _outcome(build_parser().parse_args, argv)
+    argparse-only spelling (or prints help for a ``-h`` after one).  A dash-led
+    value after ``--expr`` is checked against argparse on ``--expr=value``."""
+    ours = _outcome(_read_args, argv)
+    reference = _outcome(build_parser().parse_args, _joined_expr(argv))
     assert ours == reference or (ours in (0, 2) and any(map(_argparse_only, argv))), argv
     return ours
 
@@ -435,7 +471,8 @@ def test_reader_agrees_with_argparse_on_every_golden_argv():
 CHOICES = sorted({c for _, _, arguments in _COMMANDS.values()
                   for options in arguments.values() for c in options.get("choices", ())})
 ODD = ["-h", "--d=2", "--form", "--he", "--"]
-VALUES = ["", "3", "-1", "1_0", "+3", "\u0663", "x", "-x", "json", "s", "2,1", "s[2]"] + CHOICES
+VALUES = ["", "3", "-1", "1_0", "+3", "\u0663", "x", "-x", "json", "s", "2,1", "s[2]", "-s[2]"]
+VALUES += CHOICES
 
 
 def _argvs(command):

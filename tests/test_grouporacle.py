@@ -140,6 +140,23 @@ def test_tensor_orbit_checks_every_orbit(monkeypatch):
         tensor_orbit_decompose((2, 1), (2, 1))
 
 
+def test_tensor_orbit_checks_the_value_pairs_of_every_member(monkeypatch):
+    # With (1 2) also swapping the values 1 and 2 of a tuple with three
+    # distinct values, the index maps stay bijections of the basis, but some
+    # orbit members carry other value pairs than the start of their orbit.
+    real = grouporacle.act
+
+    def relabelled(sigma, i):
+        moved = real(sigma, i)
+        if sigma == (2, 1, 3) and len(set(i)) == 3:
+            return tuple({1: 2, 2: 1}.get(v, v) for v in moved)
+        return moved
+
+    monkeypatch.setattr(grouporacle, "act", relabelled)
+    with pytest.raises(InternalConsistencyError, match="orbit members disagree on the overlap matrix"):
+        tensor_orbit_decompose((2, 1), (1, 1, 1))
+
+
 def test_tensor_orbit_refuses_an_action_that_leaves_the_basis(monkeypatch):
     # With (1 2) sending every tuple to a constant, the index maps cannot be built.
     real = grouporacle.act
@@ -181,6 +198,21 @@ def test_permutation_character_examples():
     assert regular[-1] == math.factorial(8)
     assert all(v == 0 for v in regular[:-1])
 
+
+
+def test_permutation_character_counts_the_fixed_tuples_one_by_one():
+    # The bulk count against a count that applies each class representative
+    # to each tuple, on compositions with zero parts too.
+    def fixed_tuples(lam):
+        tuples = enumerate_tuples(lam)
+        reps = map(representative_permutation, enumerate_partitions(sum(lam)))
+        return tuple(sum(act(rep, t) == t for t in tuples) for rep in reps)
+
+    lams = [lam for d in range(7) for n in range(5) for lam in enumerate_compositions(n, d)]
+    for lam in [*lams, *enumerate_partitions(7), *enumerate_partitions(8)]:
+        assert permutation_character(lam) == fixed_tuples(lam), lam
+    # Entries up to 302, more than one byte holds: the tuples are 1,302 and 302,1.
+    assert permutation_character((1,) + (0,) * 300 + (1,)) == (0, 2)
 
 
 def test_permutation_character_budget(monkeypatch):
