@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 3
-budget exceeded or an input too deep for Python's recursion limit.  Every
-command accepts ``--format text|json``.  The budgets are the module constants
-``grouporacle.MAX_ORBIT_PAIRS``, ``grouporacle.MAX_GROUP_ORDER``,
-``contingency.MAX_LISTED_MATRICES`` and ``verify.MAX_VERIFY_DEGREE``.
+budget exceeded or an input too deep for Python's recursion limit (a deeply
+nested expression).  Every command accepts ``--format text|json``.  The
+budgets are the module constants ``grouporacle.MAX_ORBIT_PAIRS``,
+``grouporacle.MAX_GROUP_ORDER``, ``contingency.MAX_LISTED_MATRICES``,
+``contingency.MAX_MARGIN_STATES`` and ``verify.MAX_VERIFY_DEGREE``.
 
 Every argument list is read by ``_read_args`` from the ``_COMMANDS`` table.
 Flags are spelled in full (no abbreviation, ``--flag=value`` or ``--``), and

@@ -21,6 +21,8 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from itertools import accumulate
+from operator import ge
 
 from .errors import DegreeMismatchError
 
@@ -160,8 +162,8 @@ def count_ssyt(shape: Iterable[int], content: Iterable[int]) -> int:
     """Number of semistandard tableaux of the given shape and content.
 
     Fillings place ``content[k-1]`` copies of the entry ``k`` so that rows
-    weakly increase and columns strictly increase.  Read off the column of
-    the content in :func:`kostka_column`.
+    weakly increase and columns strictly increase.  The entries ``k`` fill a
+    horizontal strip: one Pieri step per part, keeping the shapes inside.
     """
     shape = Partition(shape)
     content = Composition(content)
@@ -169,22 +171,31 @@ def count_ssyt(shape: Iterable[int], content: Iterable[int]) -> int:
         raise DegreeMismatchError(
             f"shape has degree {shape.degree} but content has degree {content.degree}"
         )
-    return kostka_column(tuple(content)).get(shape, 0)
+    column = {(): 1}
+    for part in content:
+        column = _pieri_step(column, part, {})
+        column = {
+            s: n for s, n in column.items() if len(s) <= len(shape) and all(map(ge, shape, s))
+        }
+    return column.get(shape, 0)
 
 
-def kostka_column(content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Tableau counts of every shape for one content, as ``{shape: count}``.
+def count_partitions_inside(shape: Iterable[int]) -> int:
+    """Number of partitions, the empty one included, whose diagrams fit inside ``shape``'s.
 
-    The entries equal to ``k`` fill a horizontal strip, so this adds one
-    strip per part (the Pieri rule: it is also ``h_content`` in the s basis).
+    These are lattice paths: ``C(c + b, c)`` for ``c`` parts equal to ``b``,
+    and the Catalan number ``C(n + 1)`` for the staircase ``(n, ..., 1)``.
     """
-    if not content:
-        return {(): 1}
-    return _pieri_step(kostka_column(content[:-1]), content[-1], {})
+    # ways[x]: the choices of this row and the rows below it, with x boxes in this row.
+    ways = [1]
+    for cap in reversed(Partition(shape)):
+        ways = list(accumulate(ways))
+        ways += [ways[-1]] * (cap + 1 - len(ways))
+    return sum(ways)
 
 
 def _kostka_columns(d: int) -> Iterator[dict[tuple[int, ...], int]]:
-    """:func:`kostka_column` of every partition of ``d``, in canonical order.
+    """Kostka columns ``{shape: count}`` of every partition of ``d``, in canonical order.
 
     One depth-first walk over partition prefixes, in the order of
     :func:`enumerate_partitions`, takes one Pieri step per prefix, so a

@@ -10,11 +10,9 @@ matrix; only the listing materializes them.
 Transposing a matrix keeps its class, so both counts are symmetric in the
 two margins.  They walk the rows of the margin with more parts, the shorter
 margin giving the column budgets, and stop when one row or one column is
-left, since the rest of the matrix is then forced.  The walk recurses once
-per row, so when the longer margin has too many parts for the recursion
-room left, the rows run along the first margin, as given; a walk that is
-then still too deep, such as ``1^1100`` against ``1099,1``, is refused at
-Python's recursion limit.
+left, since the rest of the matrix is then forced.  The walk is depth first
+on an explicit stack, so it keeps no Python frame per row, and a walk whose
+predicted work exceeds ``MAX_MARGIN_STATES`` is refused before it starts.
 
 Enumeration order is canonical and documented: matrices are produced in
 lexicographically descending order of their row-major entry vector, so
@@ -24,22 +22,26 @@ output is byte-stable across runs.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import lru_cache
+from operator import sub
 
 from .combinat import (
     Composition,
     Partition,
     _bounded_compositions,
     _check_degrees,
+    count_partitions_inside,
     sort_to_partition,
 )
 from .errors import BudgetExceededError
 
 # The same 8! as the permutation-character cap: 1^8 x 1^8 still lists.
 MAX_LISTED_MATRICES = math.factorial(8)
+# Children a margin walk may list times its rows, predicted by _check_walk:
+# 300,300 against 1^600 (5.5e7) still counts, 550,550 against 1^1100 (3.3e8)
+# is refused.
+MAX_MARGIN_STATES = 10**8
 
 
 class ContingencyMatrix(namedtuple("ContingencyMatrix", "rows row_sums col_sums")):
@@ -118,17 +120,22 @@ def decompose_permutation_tensor(lam: Iterable[int], mu: Iterable[int]) -> dict[
     Each margin matrix contributes its row-major composition, sorted to a
     partition; the result maps each class to its multiplicity, keys in
     canonical partition order.  The matrices only index the summands: the
-    classes are counted row by row, memoized on the remaining row sums and
-    the sorted column budgets, without building any matrix.  Transposing a
-    matrix keeps its class, so the result is symmetric in ``lam`` and ``mu``;
-    the rows run along the margin with more parts when they fit in the
-    recursion limit.  Partitions of one degree are taken as they are; any
-    other input is checked and sorted once.
+    classes are counted row by row, without building any matrix, so the
+    result is symmetric in ``lam`` and ``mu``.  Partitions of one degree are
+    taken as they are; any other input is checked and sorted once.
     """
-    rows, budgets = _walk(lam, mu)
-    counts = _count_classes(rows, budgets)
+    counts = _count(*_walk(lam, mu), classes=True)
     # Keys are sorted tuples of positive entries, built by the count itself.
     return {tuple.__new__(Partition, p): counts[p] for p in sorted(counts, reverse=True)}
+
+
+def hom_dimension(lam: Iterable[int], mu: Iterable[int]) -> int:
+    """Number of matrices with the given margins, without materializing them.
+
+    Counts along the same walk as ``decompose_permutation_tensor``, so it is
+    symmetric too.
+    """
+    return _count(*_walk(lam, mu), classes=False)
 
 
 def _walk(lam: Iterable[int], mu: Iterable[int]) -> tuple[Partition, Partition]:
@@ -136,77 +143,94 @@ def _walk(lam: Iterable[int], mu: Iterable[int]) -> tuple[Partition, Partition]:
 
     Permuting rows or columns, dropping zero ones, or transposing the matrix
     keeps both the count and the class multiset.  More rows mean fewer
-    budgets, so fewer bounded compositions per row.  A second margin with
-    more parts gives the rows only if they fit in the recursion room left;
-    otherwise the rows stay on the first margin, as given, since a short
-    margin's rows over many budgets can take far longer than a refusal.
+    budgets, so fewer bounded compositions per row and fewer states.
     """
     if not (type(lam) is Partition and type(mu) is Partition and sum(lam) == sum(mu)):
         lam, mu = _check_degrees(lam, mu)
         lam, mu = sort_to_partition(lam), sort_to_partition(mu)
-    if len(lam) < len(mu) and _fits(len(mu)):
-        lam, mu = mu, lam
-    return lam, mu
+    return (mu, lam) if len(lam) < len(mu) else (lam, mu)
 
 
-# Units of the recursion limit kept for calls above the count that make no
-# Python frame, such as the caches between a command and the count.
-_SPARE_DEPTH = 50
+# Values of the states (row sums left, sorted budgets left) of every walk so
+# far, shared by all calls.  A value is stored complete and never changed.
+_CLASSES: dict = {}
+_TABLES: dict = {}
 
 
-def _fits(rows: int) -> bool:
-    """Whether a walk of ``rows`` rows stays within the recursion limit.
+def _count(rows: tuple, budgets: tuple, *, classes: bool):
+    """Class multiset or matrix count of the state ``(rows, budgets)``.
 
-    Each row costs two units of the limit, the count's frame and the call
-    through its cache (CPython 3.10-3.12; 3.13 counts the frame only); the
-    frames already on the stack use the rest.
+    A state lists its children once, one per bounded composition of its first
+    row sum under its budgets, and its value is stored after theirs.
     """
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return 2 * rows + depth + _SPARE_DEPTH < sys.getrecursionlimit()
+    memo = _CLASSES if classes else _TABLES
+    root = (rows, budgets)
+    value = memo.get(root)
+    if value is not None:
+        return value
+    if len(rows) > 1 < len(budgets):
+        _check_walk(rows, budgets)
+    # Every state at one depth has the same rows left: share one tuple.
+    tails: dict = {}
+    stack = [(root, None)]
+    while stack:
+        state, kids = stack.pop()
+        rows, budgets = state
+        if kids is not None:
+            memo[state] = _merge(kids, memo) if classes else sum(map(memo.__getitem__, kids))
+        elif state in memo:  # stored since it was pushed
+            continue
+        elif len(rows) <= 1 or len(budgets) == 1:
+            memo[state] = {budgets if len(rows) <= 1 else rows: 1} if classes else 1
+        else:
+            rest, kids = tails.setdefault(len(rows), rows[1:]), []
+            stack.append((state, kids))  # its children go above it
+            for row in _bounded_compositions(rows[0], budgets):
+                left = sorted(filter(None, map(sub, budgets, row)), reverse=True)
+                child = (rest, tuple(left))
+                kids.append((row, child) if classes else child)  # classes gain the row
+                if child not in memo:
+                    stack.append((child, None))
+    return memo[root]
 
 
-@lru_cache(maxsize=None)
-def _count_classes(
-    row_sums: tuple[int, ...], budgets: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    # Both margins arrive sorted without zeros.  One row or one column left
-    # is forced: the row is the budgets, the column the row sums.  The cached
-    # dict is shared: read it, never hand it out.
-    if len(row_sums) <= 1:
-        return {budgets: 1}
-    if len(budgets) == 1:
-        return {row_sums: 1}
+def _check_walk(rows: tuple[int, ...], budgets: tuple[int, ...]) -> None:
+    """Refuse a walk predicted to list more than ``MAX_MARGIN_STATES`` row sums.
+
+    Each child the walk lists is a state keyed by up to ``len(rows)`` row
+    sums.  A state lists at most ``C(k + c - 1, c - 1)`` children, ``k``
+    being the smaller of its row sum and the budget it leaves, which shrinks
+    row by row.  So the children are at most the products of those counts
+    down the rows, and the first row's count times the partitions inside the
+    budgets' diagram (first bounded by its rectangle), which hold every state.
+    """
+    c, left, limit = len(budgets), sum(rows), MAX_MARGIN_STATES // len(rows)
+    widest = math.comb(min(rows[0], left - rows[0]) + c - 1, c - 1)
+    if math.comb(c + budgets[0], c) * widest <= limit:
+        return
+    listed = layer = 1
+    for r in rows[:-1]:
+        left -= r
+        layer *= math.comb(min(r, left) + c - 1, c - 1)
+        listed += layer
+        if listed > limit:
+            break
+    else:
+        return
+    states = count_partitions_inside(budgets)
+    if states * widest > limit:
+        raise BudgetExceededError(
+            f"{states} margin states x {widest} children x {len(rows)} rows = "
+            f"{states * widest * len(rows)} exceed the cap of {MAX_MARGIN_STATES}"
+        )
+
+
+def _merge(kids: list, memo: dict) -> dict[tuple[int, ...], int]:
+    # Each child's classes gain its row's entries; memoized dicts are only read.
     out: dict[tuple[int, ...], int] = {}
-    rest_rows = row_sums[1:]
-    for row in _bounded_compositions(row_sums[0], budgets):
-        rest = tuple(sorted((b - r for b, r in zip(budgets, row) if b > r), reverse=True))
-        entries = tuple(r for r in row if r)
-        for cls, mult in _count_classes(rest_rows, rest).items():
+    for row, child in kids:
+        entries = tuple(filter(None, row))
+        for cls, mult in memo[child].items():
             key = tuple(sorted(cls + entries, reverse=True))
             out[key] = out.get(key, 0) + mult
     return out
-
-
-def hom_dimension(lam: Iterable[int], mu: Iterable[int]) -> int:
-    """Number of matrices with the given margins, without materializing them.
-
-    Counts row by row along the same walk as ``decompose_permutation_tensor``,
-    so it is symmetric too; the count from a partially filled matrix depends
-    only on the remaining rows and the multiset of remaining column budgets,
-    which keeps the memo table small.
-    """
-    return _count_tables(*_walk(lam, mu))
-
-
-@lru_cache(maxsize=None)
-def _count_tables(row_sums: tuple[int, ...], budgets: tuple[int, ...]) -> int:
-    if len(row_sums) <= 1 or len(budgets) == 1:
-        return 1
-    total = 0
-    rest_rows = row_sums[1:]
-    for row in _bounded_compositions(row_sums[0], budgets):
-        rest = tuple(sorted((b - r for b, r in zip(budgets, row) if b > r), reverse=True))
-        total += _count_tables(rest_rows, rest)
-    return total

@@ -21,7 +21,8 @@ each other and reports one line per degree and identity family.  Suites:
 
 A suite is a generator of ``(check name, violations)`` pairs, one per check;
 an empty list of violations is a pass.  :func:`run_verify` alone turns them
-into :class:`Check` results, and it owns the degree cap
+into :class:`Check` results, records an ``InternalConsistencyError`` raised
+inside a suite as one failed check of that suite, and it owns the degree cap
 :data:`MAX_VERIFY_DEGREE`.  The oracle's own budgets are checked where the
 oracle is called, except that ``monoidal`` checks the orbit-pair cap on every
 pair before its first orbit, so an oversized degree is refused before any
@@ -37,7 +38,7 @@ from fractions import Fraction
 from . import grouporacle, symfunc
 from .combinat import dominance_leq, enumerate_partitions
 from .contingency import decompose_permutation_tensor
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalConsistencyError
 from .kronecker import kronecker_h
 
 MAX_VERIFY_DEGREE = 8
@@ -212,6 +213,10 @@ def run_verify(suite: str, d: int, *, seed: int = 0) -> list[Check]:
     checks = []
     for func in _SUITE_FUNCS[suite]:
         label = "mismatched pairs" if func is suite_monoidal else "violations"
-        for name, bad in func(d, seed):
-            checks.append(Check(name, not bad, f"{label}: {bad}" if bad else ""))
+        try:
+            for name, bad in func(d, seed):
+                checks.append(Check(name, not bad, f"{label}: {bad}" if bad else ""))
+        except InternalConsistencyError as exc:  # one failed check; the next suite still runs
+            name = func.__name__.removeprefix("suite_").replace("_", "-")
+            checks.append(Check(f"{name}: internal consistency", False, str(exc)))
     return checks

@@ -254,28 +254,37 @@ def test_deep_inputs(capsys):
     # Many parts: the composition walk keeps no stack.
     code, out, _ = run_cli(capsys, "compositions", "--n", "1200", "--d", "1")
     assert code == 0 and len(out.splitlines()) == 1200
-    # Many rows run in a child process, so that a walk that would never
-    # finish fails on the timeout.
-    def cli(*argv):
+    # Many rows run in a child process each, so that a walk that would never
+    # finish fails on its timeout.
+    def cli(*argv, timeout=60):
         proc = subprocess.run(
-            [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "symkron.cli", *argv],
+            capture_output=True, text=True, timeout=timeout,
         )
         return proc.returncode, proc.stdout, proc.stderr
 
-    # A count stops where one row or one column is left, so these answer in
-    # both orders of the margins.  A second margin with more parts gives the
-    # rows while they fit in the recursion limit: 1^300 against 150,150 walks
-    # 300 rows over two budgets in either order, not 150 over 300 budgets.
-    ones = ",".join("1" * 1100)
-    units = ",".join("1" * 300)
+    def parts(part, count):
+        return ",".join([str(part)] * count)
+
+    # The counts walk the rows of the longer margin on an explicit stack and
+    # stop where one row or one column is left, so these answer in both
+    # orders of the margins, with no frame per row.
+    ones = parts(1, 1100)
+    units = parts(1, 300)
     pairs = comb(300, 150)
     for lam, mu, count, pieces in (
         (ones, "1100", 1, f"M[{ones}]"),
         (units, "150,150", pairs, f"{pairs}*M[{units}]"),
+        (ones, "1099,1", 1100, f"1100*M[{ones}]"),
     ):
         for a, b in ((lam, mu), (mu, lam)):
             assert cli("contingency", "--lambda", a, "--mu", b, "--count-only") == (0, f"{count}\n", "")
             assert cli("decompose-perm", "--lambda", a, "--mu", b) == (0, f"{pieces}\n", "")
+    # 300,300 against 1^600: 45451 states, 2 budgets, degree 600, under the cap.
+    for a, b in (("300,300", parts(1, 600)), (parts(1, 600), "300,300")):
+        assert cli("contingency", "--lambda", a, "--mu", b, "--count-only") == (
+            0, f"{comb(600, 300)}\n", ""
+        )
     # The listing keeps no frame per row, so the one matrix of 1^1100 against
     # 1100 is listed in both orders too.
     column = {"rows": [[1]] * 1100, "row_sums": [1] * 1100, "col_sums": [1100]}
@@ -287,22 +296,24 @@ def test_deep_inputs(capsys):
         assert cli("contingency", "--lambda", a, "--mu", b) == (0, text, "")
         listed = f"M[{ones}]\n{json.dumps(matrix)}\n"
         assert cli("decompose-perm", "--lambda", a, "--mu", b, "--show-matrices") == (0, listed, "")
-    # A longer second margin that does not fit leaves the rows on the first
-    # margin: 1099,1 against 1^1100 walks two rows and answers.
-    assert cli("contingency", "--lambda", "1099,1", "--mu", ones, "--count-only") == (0, "1100\n", "")
-    assert cli("decompose-perm", "--lambda", "1099,1", "--mu", ones) == (0, f"1100*M[{ones}]\n", "")
-    # A first margin with too many rows is refused, not walked the other way
-    # (550,550 over 1100 unit budgets would never finish), and so is a Kostka
-    # column with a thousand parts of content.
-    argvs = [["kostka", "--shape", "1100", "--content", ones]]
-    for mu in ("1099,1", "550,550"):
-        argvs.append(["contingency", "--lambda", ones, "--mu", mu, "--count-only"])
-        argvs.append(["decompose-perm", "--lambda", ones, "--mu", mu])
-    for argv in argvs:
-        code, out, err = cli(*argv)
-        assert code == 3 and out == ""
-        assert err.startswith("error: ") and "recursion limit" in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
+    # A Kostka count takes one Pieri step per part of the content.
+    assert cli("kostka", "--shape", "1100", "--content", ones) == (0, "1\n", "")
+    # Walks predicted over the margin-state cap are refused before they start.
+    for lam, mu, states in (
+        (parts(2, 400), parts(1, 800), comb(402, 2)),
+        (parts(2, 1000), parts(1, 2000), comb(1002, 2)),
+    ):
+        for a, b in ((lam, mu), (mu, lam)):
+            for argv in (["contingency", "--count-only"], ["decompose-perm"]):
+                code, out, err = cli(*argv, "--lambda", a, "--mu", b, timeout=10)
+                assert (code, out) == (3, "")
+                assert err.startswith(f"error: {states} margin states x ")
+                assert err.endswith("exceed the cap of 100000000\n")
+    # Nested expressions still reach the recursion limit, and exit 3 there.
+    code, out, err = cli("kron", "--expr", "(" * 400 + "s[1]" + ")" * 400)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "recursion limit" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_degree_mismatch_margins(capsys):

@@ -8,13 +8,13 @@ from symkron.combinat import (
     Partition,
     _kostka_columns,
     conjugate,
+    count_partitions_inside,
     count_ssyt,
     count_standard_tableaux,
     dominance_leq,
     enumerate_compositions,
     enumerate_partitions,
     format_parts,
-    kostka_column,
     multinomial,
     parse_parts,
     sort_to_partition,
@@ -133,6 +133,9 @@ def test_count_ssyt_examples():
     assert count_ssyt((1, 1, 1), (2, 1)) == 0
     with pytest.raises(DegreeMismatchError):
         count_ssyt((2, 1), (2, 2))
+    # One Pieri step per part of the content, no frame per part.
+    assert count_ssyt((1100,), (1,) * 1100) == count_ssyt((1,) * 1100, (1,) * 1100) == 1
+    assert count_ssyt((150, 150), (1,) * 300) == math.comb(300, 150) // 151
 
 
 def test_count_ssyt_against_brute_force():
@@ -164,8 +167,28 @@ def test_count_ssyt_positive_iff_dominated():
 
 def test_one_pieri_walk_gives_every_kostka_column():
     for d in range(11):
-        walked = [list(col.items()) for col in _kostka_columns(d)]
-        assert walked == [list(kostka_column(mu).items()) for mu in enumerate_partitions(d)]
+        parts = enumerate_partitions(d)
+        for mu, column in zip(parts, _kostka_columns(d)):
+            assert column == {lam: n for lam in parts if (n := count_ssyt(lam, mu))}
+
+
+def test_partitions_inside_a_diagram():
+    def brute(shape):
+        return sum(
+            len(lam) <= len(shape) and all(a <= b for a, b in zip(lam, shape))
+            for e in range(sum(shape) + 1)
+            for lam in brute_partitions(e)
+        )
+
+    for d in range(9):
+        for shape in enumerate_partitions(d):
+            assert count_partitions_inside(shape) == brute(shape)
+    # c equal parts b: lattice paths in a c x b box; a staircase: Catalan numbers.
+    assert count_partitions_inside((300, 300)) == math.comb(302, 2)
+    assert count_partitions_inside((2,) * 400) == math.comb(402, 2)
+    for n in range(13):
+        staircase = tuple(range(n, 0, -1))
+        assert count_partitions_inside(staircase) == math.comb(2 * n + 2, n + 1) // (n + 2)
 
 
 def test_count_standard_tableaux():

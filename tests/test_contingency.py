@@ -11,7 +11,12 @@ except ImportError:  # only the margin property below needs it
     given = None
 
 from symkron import contingency
-from symkron.combinat import enumerate_compositions, enumerate_partitions, multinomial
+from symkron.combinat import (
+    count_partitions_inside,
+    enumerate_compositions,
+    enumerate_partitions,
+    multinomial,
+)
 from symkron.contingency import (
     MAX_LISTED_MATRICES,
     ContingencyMatrix,
@@ -165,17 +170,82 @@ def test_forced_rows_and_columns_in_both_orders():
         _check_both_orders(lam, mu)
 
 
-def test_longer_second_margin_walks_only_within_the_recursion_limit(monkeypatch):
-    limit = sys.getrecursionlimit()
-    assert contingency._fits(10) and not contingency._fits(limit // 2)
-    assert contingency._walk((2, 2), (1, 1, 1, 1)) == ((1, 1, 1, 1), (2, 2))
-    # Without room for the second margin's rows, the first margin gives them,
-    # with the same results.
-    monkeypatch.setattr(contingency, "_fits", lambda rows: False)
-    assert contingency._walk((2, 2), (1, 1, 1, 1)) == ((2, 2), (1, 1, 1, 1))
-    assert contingency._walk((1, 1, 1, 1), (2, 2)) == ((1, 1, 1, 1), (2, 2))
+def test_walk_puts_the_longer_margin_first():
+    walk = contingency._walk
+    ones = (1,) * 1100
+    for lam, mu, rows, budgets in [
+        ((2, 2), (1, 1, 1, 1), (1, 1, 1, 1), (2, 2)),
+        ((1, 3), (0, 1, 1, 2), (2, 1, 1), (3, 1)),
+        ((1099, 1), ones, ones, (1099, 1)),
+    ]:
+        assert walk(lam, mu) == walk(mu, lam) == (rows, budgets)
+    # Margins with as many parts keep their order.
+    assert walk((3, 1), (2, 2)) == ((3, 1), (2, 2))
     for lam, mu in [((2, 2), (1, 1, 1, 1)), ((3, 1), (1, 1, 1, 1)), ((4, 2), (2, 1, 1, 1, 1))]:
         _check_both_orders(lam, mu)
+
+
+def test_deep_count_answers_near_the_recursion_limit():
+    # The walk keeps no frame per row, so 1100 rows answer however deep the caller is.
+    def depth():
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    def counts(levels):
+        if levels:
+            return counts(levels - 1)
+        ones = (1,) * 1100
+        return (
+            hom_dimension(ones, (1099, 1)),
+            hom_dimension((1099, 1), ones),
+            decompose_permutation_tensor(ones, (1099, 1)),
+        )
+
+    levels = sys.getrecursionlimit() - 60 - depth()
+    assert counts(levels) == (1100, 1100, {(1,) * 1100: 1100})
+
+
+def test_margin_state_cap(monkeypatch):
+    # 2,2 against 1^4: 6 states inside the 2 x 2 box, 2 children each, 4 rows.
+    # 3,2,1 against 1^6: the 14 states of the staircase, under the
+    # rectangle's 20, 3 children each, 6 rows.
+    for lam, mu, states, work in [
+        ((2, 2), (1, 1, 1, 1), 6, 48),
+        ((3, 2, 1), (1,) * 6, 14, 252),
+    ]:
+        for memo in (contingency._CLASSES, contingency._TABLES):
+            memo.clear()
+        monkeypatch.setattr(contingency, "MAX_MARGIN_STATES", work - 1)
+        message = f"^{states} margin states x .* = {work} exceed the cap of {work - 1}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            hom_dimension(lam, mu)
+        with pytest.raises(BudgetExceededError, match=message):
+            decompose_permutation_tensor(mu, lam)
+        monkeypatch.setattr(contingency, "MAX_MARGIN_STATES", work)
+        assert sum(decompose_permutation_tensor(lam, mu).values()) == hom_dimension(mu, lam)
+    monkeypatch.undo()
+    # Two rows list one state's children: 551 of them, however large the box.
+    assert hom_dimension((550, 550), (550, 550)) == 551
+    assert decompose_permutation_tensor((600, 400), (700, 300))[(400, 300, 200, 100)] == 1
+    # Big parts leave few choices down the rows: 400,300,300 against 500,500.
+    assert hom_dimension((400, 300, 300), (500, 500)) == 80501
+
+
+def test_stored_states_stay_within_the_prediction():
+    # A state is fixed by its sorted budgets left, which fit inside the
+    # diagram of the budgets.
+    for d in range(9):
+        for lam, mu in itertools.product(enumerate_partitions(d), repeat=2):
+            budgets = contingency._walk(lam, mu)[1]
+            for memo, count in [
+                (contingency._CLASSES, decompose_permutation_tensor),
+                (contingency._TABLES, hom_dimension),
+            ]:
+                memo.clear()
+                count(lam, mu)
+                assert len(memo) <= count_partitions_inside(budgets)
 
 
 if given is not None:
@@ -231,7 +301,7 @@ def test_kronecker_table_never_materializes_matrices(monkeypatch):
 
     monkeypatch.setattr(contingency, "contingency_matrices", refuse)
     monkeypatch.setattr(ContingencyMatrix, "__init__", refuse)
-    contingency._count_classes.cache_clear()
+    contingency._CLASSES.clear()
     kronecker._kronecker_h.cache_clear()
     assert table() == expected
 

@@ -432,7 +432,7 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         "characteristic_map",
         "build_kostka_table",
         "KostkaTable",
-        "kostka_column",
+        "count_ssyt",
         "_kostka_columns",
         "contingency",
         "decompose_permutation_tensor",

@@ -12,7 +12,7 @@ import pytest
 from symkron.cli import _COMMANDS
 from symkron.contingency import contingency_matrices
 from symkron.expr import Atom, BinOp
-from symkron.verify import Check
+from symkron.verify import Check, run_verify
 
 
 def _records():
@@ -119,8 +119,6 @@ def test_well_formed_calls_leave_argparse_help_and_locale_unloaded():
 MEMOS = {
     "combinat.class_sizes",
     "combinat.enumerate_partitions",
-    "contingency._count_classes",
-    "contingency._count_tables",
     "grouporacle._det_expansion",
     "grouporacle._perm_char",
     "grouporacle.character_table",
@@ -128,6 +126,8 @@ MEMOS = {
     "symfunc.build_kostka_table",
     "symfunc.character_value",
 }
+# The margin counts keep their states in module-level dicts.
+DICT_MEMOS = {"contingency._CLASSES", "contingency._TABLES"}
 
 
 def test_memo_inventory():
@@ -147,3 +147,16 @@ def test_memo_inventory():
         )
     assert found == MEMOS
     assert uses == len(MEMOS)
+    # No module-level dict outside the list fills up as the package works.
+    dicts = {
+        f"{path.stem}.{name}": obj
+        for path in sorted((SRC / "symkron").glob("*.py"))
+        for name, obj in vars(importlib.import_module(f"symkron.{path.stem}")).items()
+        if type(obj) is dict and not name.startswith("__")
+    }
+    for name in DICT_MEMOS:
+        dicts[name].clear()
+    sizes = {name: len(obj) for name, obj in dicts.items()}
+    run_verify("all", 4)
+    contingency_matrices((2, 1, 1), (3, 1))
+    assert {name for name, obj in dicts.items() if len(obj) > sizes[name]} == DICT_MEMOS

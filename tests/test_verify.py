@@ -13,6 +13,7 @@ import itertools
 import pytest
 
 from symkron import grouporacle, symfunc, verify
+from symkron.errors import InternalConsistencyError
 from symkron.cli import main
 
 
@@ -164,3 +165,33 @@ def test_action_check_sees_a_swapped_composition_at_low_degree(monkeypatch, d):
     monkeypatch.setattr(grouporacle, "compose", lambda s, t: real(t, s))
     (action,) = [c for c in verify.run_verify("all", d) if c.name.startswith("action ")]
     assert not action.passed
+
+
+def test_internal_consistency_failure_is_a_failed_check(capsys, monkeypatch):
+    # A failed identity inside a suite ends that suite with one FAIL line; the
+    # checks before it stay, and the other suites of `all` still run.
+    real = grouporacle.character_table
+
+    def table(e):
+        if e >= 2:
+            raise InternalConsistencyError(f"row of degree {e} is not a character")
+        return real(e)
+
+    monkeypatch.setattr(grouporacle, "character_table", table)
+    assert main(["verify", "--suite", "kostka", "--d", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "PASS kostka d=0: diagonal, dominance support, transition, characters",
+        "PASS kostka d=1: diagonal, dominance support, transition, characters",
+        "FAIL kostka: internal consistency [row of degree 2 is not a character]",
+        "FAIL kostka: 3 checks",
+    ]
+    assert captured.err == ""
+    assert main(["verify", "--suite", "all", "--d", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL kostka: internal consistency [row of degree 2 is not a character]",
+        f"FAIL all: {len(lines) - 1} checks",
+    ]
+    assert "PASS jacobi-trudi d=2: h determinant == conjugate e determinant" in lines
