@@ -2,9 +2,14 @@
 
 On complete symmetric functions the product is structural: the product of
 ``h_lam`` and ``h_mu`` is the sum of ``h`` terms over the margin-matrix
-decomposition of the corresponding permutation-module tensor product.  The
-character route, ``symfunc.characteristic_map`` of pointwise products of
-``grouporacle.permutation_character``, stays independent: each checks the other.
+decomposition of the corresponding permutation-module tensor product.  Each
+factor is expanded in h or in e, whichever has fewer terms: the e expansion
+of ``f`` carries the h coefficients of ``omega(f)``, and since ``s_(1^d)``
+acts as omega, ``omega(f) * g = omega(f * g) = f * omega(g)``.  So the margin
+rule sums the product in h when neither or both factors were flipped, and in
+e when exactly one was.  The character route, ``symfunc.characteristic_map``
+of pointwise products of ``grouporacle.permutation_character``, stays
+independent: each checks the other.
 """
 
 from __future__ import annotations
@@ -40,27 +45,45 @@ def kronecker_h(lam: Iterable[int], mu: Iterable[int]) -> symfunc.SymFunc:
     return symfunc.SymFunc("h", lam.degree, pieces)
 
 
+def _shorter_expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
+    """``f`` in h or in e, whichever has fewer terms (h on a tie), and whether e won.
+
+    A factor in neither basis is converted to s once, so a p factor runs its
+    character sum once for both expansions.
+    """
+    base = f.basis if f.basis in ("h", "e") else "s"
+    terms = symfunc._terms_in(f, base)
+    fh = symfunc._convert_terms(f.degree, base, terms, "h")
+    if len(fh) <= 1:
+        return fh, False
+    fe = symfunc._convert_terms(f.degree, base, terms, "e")
+    return (fe, True) if len(fe) < len(fh) else (fh, False)
+
+
 def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
     """Bilinear extension of the internal product, in the basis of ``f``.
 
-    Both factors are expanded in the h basis and multiplied by the margin
-    rule.  The sums stay ints unless ``f`` or ``g`` has a non-integral
-    coefficient; only a result in the p basis divides, by ``z_rho``.
+    Each factor is expanded in h or, through omega, in e, whichever is
+    shorter, and the two are multiplied by the margin rule.  The sum holds the
+    product in h when both expansions are in one basis and in e when not.
+    The sums stay ints unless ``f`` or ``g`` has a non-integral coefficient;
+    only a result in the p basis divides, by ``z_rho``.
     """
     if f.degree != g.degree:
         raise DegreeMismatchError(
             f"internal product needs equal degrees, got {f.degree} and {g.degree}"
         )
-    fh = symfunc._terms_in(f, "h")
-    gh = symfunc._terms_in(g, "h")
+    fx, f_flipped = _shorter_expansion(f)
+    gx, g_flipped = _shorter_expansion(g)
     acc: dict = {}
-    for lam, a in fh.items():
-        for mu, b in gh.items():
+    for lam, a in fx.items():
+        for mu, b in gx.items():
             ab = a * b
             pieces = _kronecker_h(lam, mu) if lam >= mu else _kronecker_h(mu, lam)
             for nu, m in pieces.items():
                 acc[nu] = acc.get(nu, 0) + ab * m
-    return symfunc.SymFunc(f.basis, f.degree, symfunc._convert_terms(f.degree, "h", acc, f.basis))
+    basis = "e" if f_flipped != g_flipped else "h"
+    return symfunc.SymFunc(f.basis, f.degree, symfunc._convert_terms(f.degree, basis, acc, f.basis))
 
 
 def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:

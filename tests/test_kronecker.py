@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the rational-combination property below needs it
+    given = None
+
 from symkron.combinat import centralizer_order, conjugate, enumerate_partitions
+from symkron.contingency import decompose_permutation_tensor
 from symkron.errors import DegreeMismatchError
 from symkron.grouporacle import character_scalar_product, permutation_character
 from symkron.kronecker import kronecker, kronecker_coefficient, kronecker_h
@@ -70,13 +76,86 @@ def test_kronecker_commutative():
                 assert kronecker(f, g) == kronecker(g, f)
 
 
-def test_kronecker_h_memo_holds_each_unordered_pair_once():
+def _record_margin_calls(monkeypatch) -> list:
+    """Clear the h-product memo; the list collects the key of each entry stored after."""
+    keys = []
+
+    def recording(lam, mu):
+        keys.append((lam, mu))
+        return decompose_permutation_tensor(lam, mu)
+
+    monkeypatch.setattr(kronecker_module, "decompose_permutation_tensor", recording)
     kronecker_module._kronecker_h.cache_clear()
+    return keys
+
+
+def test_kronecker_h_memo_holds_each_unordered_pair_once(monkeypatch):
+    keys = _record_margin_calls(monkeypatch)
     parts = enumerate_partitions(5)
     for lam, mu in itertools.product(parts, repeat=2):
         kronecker(basis_element("s", lam), basis_element("s", mu))
+    for lam, mu in itertools.product(parts, repeat=2):
+        kronecker_h(lam, mu)
+    assert all(lam >= mu for lam, mu in keys)
     size = kronecker_module._kronecker_h.cache_info().currsize
-    assert size == len(parts) * (len(parts) + 1) // 2 == 28
+    assert size == len(keys) == len(parts) * (len(parts) + 1) // 2 == 28
+
+
+def test_cold_schur_table_skips_the_tallest_margin_pair(monkeypatch):
+    # s_(1^7) is e_7 alone, so no Schur product needs h_(1^7) * h_(1^7).
+    keys = _record_margin_calls(monkeypatch)
+    for lam, mu in itertools.combinations_with_replacement(enumerate_partitions(7), 2):
+        kronecker(basis_element("s", lam), basis_element("s", mu))
+    assert len(keys) < 120
+    assert ((1,) * 7, (1,) * 7) not in keys
+
+
+def _all_h_product(f: SymFunc, g: SymFunc) -> SymFunc:
+    """``f * g`` by the margin rule on the h expansions of both factors."""
+    acc: dict = {}
+    for lam, a in convert(f, "h").terms.items():
+        for mu, b in convert(g, "h").terms.items():
+            for nu, m in decompose_permutation_tensor(lam, mu).items():
+                acc[nu] = acc.get(nu, 0) + a * b * m
+    return convert(SymFunc("h", f.degree, acc), f.basis)
+
+
+def test_kronecker_matches_all_h_product_on_basis_elements():
+    # Covers each omega parity: e_lam flips, h_lam never does, and s or m
+    # elements flip when their e expansion is the shorter one.
+    for d in range(7):
+        elements = [basis_element(b, lam) for b in "mehs" for lam in enumerate_partitions(d)]
+        for f, g in itertools.product(elements, repeat=2):
+            assert kronecker(f, g) == _all_h_product(f, g)
+
+
+def test_sign_representation_acts_as_omega():
+    # s_(1^d) flips and s_(d-1,1) does not: omega(s_(d-1,1)) = s_(2,1^(d-2)).
+    for d in range(2, 9):
+        sign = basis_element("s", (1,) * d)
+        hook = basis_element("s", (d - 1, 1))
+        expected = basis_element("s", (2,) + (1,) * (d - 2))
+        assert kronecker(sign, hook) == kronecker(hook, sign) == expected
+        assert kronecker(sign, sign) == basis_element("s", (d,))
+
+
+if given is not None:
+
+    @st.composite
+    def _combination(draw, d):
+        parts = enumerate_partitions(d)
+        basis = draw(st.sampled_from(BASES))
+        chosen = draw(st.lists(st.sampled_from(parts), min_size=1, max_size=4, unique=True))
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        return SymFunc(basis, d, {lam: draw(coeffs) for lam in chosen})
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(min_value=0, max_value=6).flatmap(
+        lambda d: st.tuples(_combination(d), _combination(d))
+    ))
+    def test_kronecker_matches_all_h_product_on_rational_combinations(pair):
+        f, g = pair
+        assert kronecker(f, g) == _all_h_product(f, g)
 
 
 def test_kronecker_associative():
