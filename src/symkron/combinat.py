@@ -1,4 +1,8 @@
-"""Integer partitions, compositions, dominance order, and tableau counting.
+"""Integer partitions, compositions, dominance order, and strip walks.
+
+A strip walk (:func:`_walk`) adds or removes one strip per entry of a size
+sequence: horizontal strips give Kostka columns and tableau counts, and
+border strips Murnaghan-Nakayama characters.
 
 Conventions used across the package:
 
@@ -22,7 +26,6 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
-from operator import ge
 
 from .errors import DegreeMismatchError
 
@@ -163,7 +166,7 @@ def count_ssyt(shape: Iterable[int], content: Iterable[int]) -> int:
 
     Fillings place ``content[k-1]`` copies of the entry ``k`` so that rows
     weakly increase and columns strictly increase.  The entries ``k`` fill a
-    horizontal strip: one Pieri step per part, keeping the shapes inside.
+    horizontal strip: one is removed per part, the last first.
     """
     shape = Partition(shape)
     content = Composition(content)
@@ -171,13 +174,8 @@ def count_ssyt(shape: Iterable[int], content: Iterable[int]) -> int:
         raise DegreeMismatchError(
             f"shape has degree {shape.degree} but content has degree {content.degree}"
         )
-    column = {(): 1}
-    for part in content:
-        column = _pieri_step(column, part, {})
-        column = {
-            s: n for s, n in column.items() if len(s) <= len(shape) and all(map(ge, shape, s))
-        }
-    return column.get(shape, 0)
+    removals = [tuple(-k for k in content[::-1])]
+    return next(_walk(removals, _horizontal_strips, {shape: 1})).get((), 0)
 
 
 def count_partitions_inside(shape: Iterable[int]) -> int:
@@ -195,52 +193,74 @@ def count_partitions_inside(shape: Iterable[int]) -> int:
 
 
 def _kostka_columns(d: int) -> Iterator[dict[tuple[int, ...], int]]:
-    """Kostka columns ``{shape: count}`` of every partition of ``d``, in canonical order.
+    """Kostka columns ``{shape: count}`` of every partition of ``d``, in canonical order."""
+    return _walk(enumerate_partitions(d), _horizontal_strips, {(): 1})
 
-    One depth-first walk over partition prefixes, in the order of
-    :func:`enumerate_partitions`, takes one Pieri step per prefix, so a
-    column shares its chain with every column of the same prefix; each
-    strip set is found once per call in a dict dropped when the walk ends.
+
+def _walk(sizes: Iterable[tuple[int, ...]], strips, start: dict) -> Iterator[dict]:
+    """The Schur expansion ``start`` after one step per entry, for each size sequence.
+
+    A step of signed size ``k`` sends each shape to the ``(shape, sign)``
+    pairs of ``strips(shape, k)``, found once per walk.  A sequence reuses the
+    steps it shares with the one before, so the partitions of ``d`` in
+    canonical order cost one depth-first walk.  Only read the yielded dicts.
     """
-    strips: dict = {}
-
-    def walk(column: dict, rem: int, cap: int) -> Iterator[dict]:
-        if not rem:
-            yield column
-        for part in range(min(rem, cap), 0, -1):
-            yield from walk(_pieri_step(column, part, strips), rem - part, part)
-
-    return walk({(): 1}, d, d)
-
-
-def _pieri_step(column: dict, size: int, strips: dict) -> dict[tuple[int, ...], int]:
-    """``h_size`` times the Schur expansion ``column``, by the Pieri rule.
-
-    ``strips`` memoizes :func:`_strip_additions` under ``(shape, size)``.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    for shape, count in column.items():
-        outers = strips.get((shape, size))
-        if outers is None:
-            outers = strips[shape, size] = _strip_additions(shape, size)
-        for outer in outers:
-            out[outer] = out.get(outer, 0) + count
-    return out
+    found: dict = {}
+    chain, path = [start], []  # chain[i + 1] is chain[i] after a step of size path[i]
+    for seq in sizes:
+        for i, k in enumerate(seq):
+            if i < len(path) and path[i] == k:
+                continue
+            del chain[i + 1 :], path[i:]
+            out: dict = {}
+            for shape, c in chain[i].items():
+                if c:  # a zero sum takes no step
+                    moves = found.get((shape, k))
+                    if moves is None:
+                        moves = found[shape, k] = strips(shape, k)
+                    for outer, sign in moves:
+                        out[outer] = out.get(outer, 0) + sign * c
+            chain.append(out)
+            path.append(k)
+        yield chain[len(seq)]
 
 
-def _strip_additions(shape: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    """Shapes made by adding ``size`` boxes, no two in one column.
+def _horizontal_strips(shape: tuple[int, ...], size: int) -> tuple[tuple[tuple, int], ...]:
+    """Shapes made by adding (``size > 0``) or removing a horizontal strip, each with sign 1.
 
-    Row ``i`` grows by at most its overhang over row ``i - 1`` and the first
-    row by any amount, so the additions are the bounded compositions of
-    ``size`` under those caps, one per row and one for a new row.
+    No two boxes share a column, so row ``i`` grows by at most its overhang
+    over row ``i - 1`` (the first row by any amount), or shrinks by at most
+    its overhang over row ``i + 1``: a bounded composition of ``|size|``.
     """
     rows = shape + (0,)
-    caps = (size,) + tuple(a - b for a, b in zip(shape, rows[1:]))
-    return [
-        tuple([r + a for r, a in zip(rows, added) if r + a])
-        for added in _bounded_compositions(size, caps)
-    ]
+    caps = tuple(a - b for a, b in zip(shape, rows[1:]))
+    step, caps = (1, (size,) + caps) if size > 0 else (-1, caps)
+    return tuple(
+        (tuple([r + step * a for r, a in zip(rows, moved) if r + step * a]), 1)
+        for moved in _bounded_compositions(abs(size), caps)
+    )
+
+
+@lru_cache(maxsize=None)
+def _border_strips(shape: tuple[int, ...], size: int) -> tuple[tuple[tuple, int], ...]:
+    """Shapes made by adding (``size > 0``) or removing (``size < 0``) a border strip, with signs.
+
+    On the beta set of ``n`` parts (``shape[i] + n - 1 - i``, padded with
+    ``size`` zero parts when adding) a strip of ``|size|`` boxes moves one
+    bead by ``size`` places onto a free place.  Its sign is the parity of the
+    beads jumped over, ``(-1)**(rows - 1)`` (Macdonald I.3, Example 11).
+    """
+    n = len(shape) + max(size, 0)
+    beads = [p + n - 1 - i for i, p in enumerate(shape + (0,) * (n - len(shape)))]
+    out = []
+    for i, b in enumerate(beads):
+        c = b + size
+        if c < 0 or c in beads:
+            continue
+        moved = sorted(beads[:i] + [c] + beads[i + 1 :], reverse=True)
+        parts = tuple(p for p in (x - (n - 1 - j) for j, x in enumerate(moved)) if p)
+        out.append((parts, (-1) ** sum(min(b, c) < x < max(b, c) for x in beads)))
+    return tuple(out)
 
 
 def count_standard_tableaux(lam: Partition) -> int:

@@ -2,14 +2,15 @@
 
 On complete symmetric functions the product is structural: the product of
 ``h_lam`` and ``h_mu`` is the sum of ``h`` terms over the margin-matrix
-decomposition of the corresponding permutation-module tensor product.  Each
-factor is expanded in h or in e, whichever has fewer terms: the e expansion
-of ``f`` carries the h coefficients of ``omega(f)``, and since ``s_(1^d)``
-acts as omega, ``omega(f) * g = omega(f * g) = f * omega(g)``.  So the margin
-rule sums the product in h when neither or both factors were flipped, and in
-e when exactly one was.  The character route, ``symfunc.characteristic_map``
-of pointwise products of ``grouporacle.permutation_character``, stays
-independent: each checks the other.
+decomposition of the corresponding permutation-module tensor product.  A
+factor given in h or e is used as it is; any other is expanded in h or in e,
+whichever has fewer terms.  The e expansion of ``f`` carries the h
+coefficients of ``omega(f)``, and since ``s_(1^d)`` acts as omega,
+``omega(f) * g = omega(f * g) = f * omega(g)``.  So the margin rule sums the
+product in h when neither or both factors are in e, and in e when exactly one
+is.  The character route, ``symfunc.characteristic_map`` of pointwise
+products of ``grouporacle.permutation_character``, stays independent: each
+checks the other.
 """
 
 from __future__ import annotations
@@ -46,28 +47,29 @@ def kronecker_h(lam: Iterable[int], mu: Iterable[int]) -> symfunc.SymFunc:
 
 
 def _shorter_expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
-    """``f`` in h or in e, whichever has fewer terms (h on a tie), and whether e won.
+    """``f`` in h or in e, and whether e was taken; a factor in either is taken as given.
 
-    A factor in neither basis is converted to s once, so a p factor runs its
-    character sum once for both expansions.
+    Any other is converted to s once, so a p factor walks its characters
+    once, and keeps the shorter of its h and e expansions (h on a tie).
     """
-    base = f.basis if f.basis in ("h", "e") else "s"
-    terms = symfunc._terms_in(f, base)
-    fh = symfunc._convert_terms(f.degree, base, terms, "h")
+    if f.basis in ("h", "e"):
+        return symfunc._terms_in(f, f.basis), f.basis == "e"
+    terms = symfunc._terms_in(f, "s")
+    fh = symfunc._convert_terms(f.degree, "s", terms, "h")
     if len(fh) <= 1:
         return fh, False
-    fe = symfunc._convert_terms(f.degree, base, terms, "e")
+    fe = symfunc._convert_terms(f.degree, "s", terms, "e")
     return (fe, True) if len(fe) < len(fh) else (fh, False)
 
 
 def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
     """Bilinear extension of the internal product, in the basis of ``f``.
 
-    Each factor is expanded in h or, through omega, in e, whichever is
-    shorter, and the two are multiplied by the margin rule.  The sum holds the
-    product in h when both expansions are in one basis and in e when not.
-    The sums stay ints unless ``f`` or ``g`` has a non-integral coefficient;
-    only a result in the p basis divides, by ``z_rho``.
+    A factor in h or e is used as given; any other is expanded in h or,
+    through omega, in e, whichever is shorter.  The margin rule multiplies
+    them, summing in h when both are in one basis and in e when not.  The
+    sums stay ints unless ``f`` or ``g`` has a non-integral coefficient; only
+    a result in the p basis divides, by ``z_rho``.
     """
     if f.degree != g.degree:
         raise DegreeMismatchError(

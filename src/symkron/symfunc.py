@@ -2,22 +2,21 @@
 
 Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
-routed through the Schur basis:
+routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
 * ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree.  Its
-  sparse tableau-count (Kostka) columns, which one Pieri walk over partition
-  prefixes yields, are ``h -> s`` and are built with the table, which
-  asserts them unitriangular.  Every other map is built on its first read:
-  ``s -> m`` transposes the columns and ``e -> s`` re-keys them by the
-  involution omega, which swaps ``h`` and ``e`` and conjugates Schur
-  indices, so neither needs the inverse; ``s -> h``, ``s -> e`` and
-  ``m -> s`` read the exact integer inverse, which the first of them solves
-  on ranks (positions in canonical order) and checks against
-  ``h -> s -> h`` before returning;
-* ``p <-> s`` by the irreducible characters of the symmetric group, which
-  :func:`character_value` computes by the Murnaghan-Nakayama rule:
-  ``p -> s`` sums ``c_rho * chi^lam(rho)`` over the terms, and ``s -> p`` is
-  :func:`characteristic_map` of the class function ``sum of c_lam * chi^lam``.
+  tableau-count (Kostka) columns, which one walk adding horizontal strips
+  yields, are ``h -> s`` and are asserted unitriangular.  Every other map is
+  built on its first read: ``s -> m`` transposes the columns and ``e -> s``
+  re-keys them by the involution omega, which swaps ``h`` and ``e`` and
+  conjugates Schur indices; ``s -> h``, ``s -> e`` and ``m -> s`` read the
+  exact integer inverse, which the first of them solves on ranks (positions
+  in canonical order) and checks against ``h -> s -> h`` before returning;
+* ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
+  adds them along each term's cycle type, from the empty shape, and
+  ``s -> p`` removes them from all Schur terms at once, one walk over the
+  cycle types reading ``sum of c_lam * chi^lam`` at the empty shape, which
+  :func:`characteristic_map` sends to p.
 
 A character is a tuple of values in canonical cycle-type order, and
 :func:`characteristic_map` (ch) sends one to the p basis; the character route
@@ -26,14 +25,13 @@ The Jacobi-Trudi determinants and the brute-force character table, second
 routes to the same tables, live in :mod:`symkron.grouporacle` as checks.
 
 ``SymFunc.terms`` is `fractions.Fraction`-valued.  Inner loops run on Python
-ints wherever the theory gives integers (the Kostka matrix and its inverse,
-character values, margin counts).  A conversion to or from p first scales
-its terms to ints by their common denominator and divides each output term
-by it once, so only that division, the ``1/z_rho`` of ``s -> p`` and
+ints wherever the theory gives integers.  A conversion to or from p first
+scales its terms to ints by their common denominator and divides each output
+term by it once, so only that division, the ``1/z_rho`` of ``s -> p`` and
 rational input on the other paths bring in a ``Fraction``.  Integrality is
-asserted where the theory demands it instead of being assumed.  SymFunc
-values are immutable; per-degree tables are built once, and each of their
-maps is stored once complete and then only read.
+asserted where the theory demands it.  SymFunc values are immutable;
+per-degree tables are built once, and each of their maps is stored once
+complete and then only read.
 """
 
 from __future__ import annotations
@@ -46,7 +44,8 @@ from math import lcm
 from operator import attrgetter
 
 from .combinat import (
-    Partition, _check_row, _kostka_columns, centralizer_order, conjugate, enumerate_partitions
+    Partition, _border_strips, _check_row, _kostka_columns, _walk, centralizer_order, conjugate,
+    enumerate_partitions,
 )
 from .errors import DegreeMismatchError, InternalConsistencyError
 
@@ -195,9 +194,8 @@ class KostkaTable:
     ``to_s[b][lam]`` is the basis element ``b_lam`` in the s basis and
     ``from_s[b][lam]`` is ``s_lam`` in the basis ``b``, each an
     ``{partition: int}`` in canonical order; callers only read them.  Column
-    ``mu`` of the tableau-count (Kostka) matrix is ``h_mu`` in the s basis;
-    one depth-first Pieri walk in :mod:`symkron.combinat` yields every column
-    of the degree, sharing the strips of common content prefixes.
+    ``mu`` of the tableau-count (Kostka) matrix is ``h_mu`` in the s basis,
+    and one strip walk yields every column of the degree.
 
     Only ``to_s["h"]`` is built with the table, and every build asserts that
     the matrix is unit upper triangular in canonical order.  The other five
@@ -309,39 +307,23 @@ def build_kostka_table(d: int) -> KostkaTable:
     return KostkaTable(d)
 
 
-@lru_cache(maxsize=None)
 def character_value(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Irreducible character of the partition ``lam`` at the cycle type ``rho``.
-
-    Murnaghan-Nakayama rule: removing a border strip of length ``k = rho[0]``
-    from ``lam`` moves one bead of its beta set (``lam[i] + n - 1 - i`` for
-    ``n`` parts) down ``k`` places onto a free place, with the sign of the
-    parity of the beads jumped over; the rest of ``rho`` is evaluated on
-    what remains.
-    """
+    """Irreducible character of the partition ``lam`` at the cycle type ``rho``."""
     if sum(lam) != sum(rho):
         raise DegreeMismatchError(f"shape {lam} and cycle type {rho} differ in degree")
-    if not rho:
-        return 1
-    k, rest = rho[0], rho[1:]
-    n = len(lam)
-    beads = [p + n - 1 - i for i, p in enumerate(lam)]
-    total = 0
-    for i, b in enumerate(beads):
-        if b < k or b - k in beads:
-            continue
-        jumped = sum(1 for c in beads if b - k < c < b)
-        moved = sorted(beads[:i] + [b - k] + beads[i + 1 :], reverse=True)
-        shape = tuple(p for p in (c - (n - 1 - j) for j, c in enumerate(moved)) if p)
-        value = character_value(shape, rest)
-        total += -value if jumped % 2 else value
-    return total
+    return next(_walk([tuple(-k for k in rho)], _border_strips, {tuple(lam): 1})).get((), 0)
+
+
+def _class_function(d: int, terms: Mapping) -> tuple[int, ...]:
+    """``sum of c_lam * chi^lam`` at each cycle type of ``d``: strips removed, read at ``()``."""
+    removals = [tuple(-k for k in rho) for rho in enumerate_partitions(d)]
+    return tuple(leaf.get((), 0) for leaf in _walk(removals, _border_strips, terms))
 
 
 def specht_character(lam: Iterable[int]) -> tuple[int, ...]:
     """Murnaghan-Nakayama character of a partition: one value per cycle type, canonical order."""
     lam = Partition(lam)
-    return tuple(character_value(lam, rho) for rho in enumerate_partitions(lam.degree))
+    return _class_function(lam.degree, {lam: 1})
 
 
 def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
@@ -396,18 +378,14 @@ def _convert_terms(
             terms = {lam: c.numerator * (den // c.denominator) for lam, c in terms.items()}
     mid = terms
     if basis == "p":
-        mid = {
-            lam: sum(c * character_value(lam, rho) for rho, c in terms.items())
-            for lam in enumerate_partitions(d)
-        }
+        rhos = sorted(terms, reverse=True)
+        mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))).__getitem__)
+        mid = {lam: mid[lam] for lam in enumerate_partitions(d) if lam in mid}
     elif basis != "s":
         mid = _expand(terms, build_kostka_table(d).to_s[basis].__getitem__)
     if target == "p":
         # ch of the integer class function: the sum of c_lam chi^lam.
-        chi = tuple(
-            sum(c * character_value(lam, rho) for lam, c in mid.items())
-            for rho in enumerate_partitions(d)
-        )
+        chi = _class_function(d, mid)
         mid = characteristic_map(d, chi).terms
     elif target != "s":
         mid = _expand(mid, build_kostka_table(d).from_s[target].__getitem__)

@@ -1,12 +1,16 @@
 import math
 import itertools
+from operator import ge
 
 import pytest
 
 from symkron.combinat import (
     Composition,
     Partition,
+    _border_strips,
+    _horizontal_strips,
     _kostka_columns,
+    _walk,
     conjugate,
     count_partitions_inside,
     count_ssyt,
@@ -170,6 +174,58 @@ def test_one_pieri_walk_gives_every_kostka_column():
         parts = enumerate_partitions(d)
         for mu, column in zip(parts, _kostka_columns(d)):
             assert column == {lam: n for lam in parts if (n := count_ssyt(lam, mu))}
+
+
+def _is_strip(outer, inner, border):
+    """Whether ``outer / inner`` is a border strip, or else a horizontal strip (brute force)."""
+    outer, inner = list(outer), list(inner) + [0] * (len(outer) - len(inner))
+    if border:
+        rows = [i for i, (a, b) in enumerate(zip(outer, inner)) if a != b]
+        return rows == list(range(rows[0], rows[-1] + 1)) and all(
+            outer[i + 1] == inner[i] + 1 for i in rows[:-1]
+        )
+    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
+
+
+@pytest.mark.parametrize("strips", [_horizontal_strips, _border_strips])
+def test_adding_and_removing_strips_are_inverse(strips):
+    border = strips is _border_strips
+    for d in range(10):
+        for shape in enumerate_partitions(d):
+            for k in range(1, 10):
+                added = strips(shape, k)
+                for outer, sign in added:
+                    assert (shape, sign) in strips(outer, -k)
+                    # A border strip's sign is -1 to the number of rows it spans, less one.
+                    rows = itertools.zip_longest(outer, shape, fillvalue=0)
+                    assert sign == ((-1) ** (sum(a != b for a, b in rows) - 1) if border else 1)
+                bigger = enumerate_partitions(d + k)
+                inside = [p for p in bigger if len(p) >= len(shape) and all(map(ge, p, shape))]
+                assert {outer for outer, _ in added} == {
+                    p for p in inside if _is_strip(p, shape, border)
+                }
+                assert len(added) == len(set(added))
+                for inner, sign in strips(shape, -k):
+                    assert (shape, sign) in strips(inner, k) and Partition(inner).degree == d - k
+
+
+def test_removal_walk_rows_are_the_addition_walk_columns_transposed():
+    for d in range(11):
+        parts = enumerate_partitions(d)
+        columns = list(_kostka_columns(d))
+        removals = [tuple(-k for k in mu) for mu in parts]
+        for lam in parts:
+            row = [leaf.get((), 0) for leaf in _walk(removals, _horizontal_strips, {lam: 1})]
+            assert row == [column.get(lam, 0) for column in columns]
+
+
+def test_count_ssyt_is_the_same_for_every_reordering_of_the_content():
+    # Bender-Knuth symmetry, which a walk that removes strips in any order relies on.
+    for d in range(9):
+        for mu in enumerate_partitions(d):
+            orders = set(itertools.permutations(mu + (0,)))
+            for lam in enumerate_partitions(d):
+                assert len({count_ssyt(lam, order) for order in orders}) == 1
 
 
 def test_partitions_inside_a_diagram():

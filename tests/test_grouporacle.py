@@ -434,6 +434,9 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         "KostkaTable",
         "count_ssyt",
         "_kostka_columns",
+        "_walk",
+        "_border_strips",
+        "_horizontal_strips",
         "contingency",
         "decompose_permutation_tensor",
         "kronecker",

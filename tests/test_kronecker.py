@@ -9,6 +9,7 @@ try:
 except ImportError:  # only the rational-combination property below needs it
     given = None
 
+from symkron import symfunc
 from symkron.combinat import centralizer_order, conjugate, enumerate_partitions
 from symkron.contingency import decompose_permutation_tensor
 from symkron.errors import DegreeMismatchError
@@ -108,6 +109,19 @@ def test_cold_schur_table_skips_the_tallest_margin_pair(monkeypatch):
         kronecker(basis_element("s", lam), basis_element("s", mu))
     assert len(keys) < 120
     assert ((1,) * 7, (1,) * 7) not in keys
+
+
+def test_factors_in_h_or_e_read_no_kostka_inverse():
+    # Both factors are taken as given, and the sum stays in the basis of f.
+    symfunc.build_kostka_table.cache_clear()
+    for a in "he":
+        f = basis_element(a, (4, 4)) + basis_element(a, (5, 2, 1))
+        g = basis_element("h", (6, 2)) + basis_element("h", (7, 1))
+        assert kronecker(f, g) == _all_h_product(f, g)
+        symfunc.build_kostka_table.cache_clear()
+        kronecker(f, g)
+        table = symfunc.build_kostka_table(8)
+        assert "h" not in table.from_s and "e" not in table.from_s and "m" not in table.to_s
 
 
 def _all_h_product(f: SymFunc, g: SymFunc) -> SymFunc:
