@@ -53,8 +53,8 @@ def _shorter_expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
     once, and keeps the shorter of its h and e expansions (h on a tie).
     """
     if f.basis in ("h", "e"):
-        return symfunc._terms_in(f, f.basis), f.basis == "e"
-    terms = symfunc._terms_in(f, "s")
+        return f.terms, f.basis == "e"
+    terms = symfunc._convert_terms(f.degree, f.basis, f.terms, "s")
     fh = symfunc._convert_terms(f.degree, "s", terms, "h")
     if len(fh) <= 1:
         return fh, False
@@ -68,8 +68,9 @@ def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
     A factor in h or e is used as given; any other is expanded in h or,
     through omega, in e, whichever is shorter.  The margin rule multiplies
     them, summing in h when both are in one basis and in e when not.  The
-    sums stay ints unless ``f`` or ``g`` has a non-integral coefficient; only
-    a result in the p basis divides, by ``z_rho``.
+    factors' terms are read as stored, ints where integral, so the sums stay
+    ints unless ``f`` or ``g`` has a non-integral coefficient; only a result
+    in the p basis divides, by ``z_rho``.
     """
     if f.degree != g.degree:
         raise DegreeMismatchError(
@@ -107,4 +108,4 @@ def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[in
         raise InternalConsistencyError(
             f"coefficient for {tuple(lam)}, {tuple(mu)}, {tuple(nu)} came out as {value}"
         )
-    return int(value)
+    return value

@@ -24,14 +24,15 @@ to the internal product is ``grouporacle.permutation_character`` through it.
 The Jacobi-Trudi determinants and the brute-force character table, second
 routes to the same tables, live in :mod:`symkron.grouporacle` as checks.
 
-``SymFunc.terms`` is `fractions.Fraction`-valued.  Inner loops run on Python
-ints wherever the theory gives integers.  A conversion to or from p first
-scales its terms to ints by their common denominator and divides each output
-term by it once, so only that division, the ``1/z_rho`` of ``s -> p`` and
-rational input on the other paths bring in a ``Fraction``.  Integrality is
-asserted where the theory demands it.  SymFunc values are immutable;
-per-degree tables are built once, and each of their maps is stored once
-complete and then only read.
+A coefficient in ``SymFunc.terms`` is an ``int`` where it is integral and a
+`fractions.Fraction` only where its denominator is greater than 1; the
+constructor applies this rule, and conversions read the terms as stored.  A
+conversion to or from p first scales its terms to ints by their common
+denominator and divides each output term by it once, so only that division,
+the ``1/z_rho`` of ``s -> p`` and rational input on the other paths bring
+in a ``Fraction``.  Integrality is asserted where the theory demands it.
+SymFunc values are immutable; per-degree tables are built once, and each of
+their maps is stored once complete and then only read.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ import json
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from operator import attrgetter
 
 from .combinat import (
-    Partition, _border_strips, _check_row, _kostka_columns, _walk, centralizer_order, conjugate,
+    Partition, _border_strips, _check_row, _kostka_columns, _walk, class_sizes, conjugate,
     enumerate_partitions,
 )
 from .errors import DegreeMismatchError, InternalConsistencyError
@@ -57,18 +58,19 @@ _denominator = attrgetter("denominator")
 class SymFunc:
     """Basis-tagged sparse rational combination of partitions of one degree.
 
-    Zero coefficients are never stored.  Instances are immutable; all
-    arithmetic returns new values.
+    A coefficient is stored as an ``int`` where it is integral and as a
+    ``Fraction`` otherwise; zero coefficients are never stored.  Instances
+    are immutable; all arithmetic returns new values.
     """
 
     __slots__ = ("basis", "degree", "terms")
 
-    def __init__(self, basis: str, degree: int, terms: Mapping[Iterable[int], Fraction | int]):
+    def __init__(self, basis: str, degree: int, terms: Mapping[Iterable[int], int | Fraction]):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, int | Fraction] = {}
         for lam, coeff in terms.items():
             if type(lam) is not Partition:
                 lam = Partition(lam)
@@ -76,9 +78,12 @@ class SymFunc:
                 raise DegreeMismatchError(
                     f"term {tuple(lam)} has degree {lam.degree}, expected {degree}"
                 )
-            c = Fraction(coeff)
-            if c:
-                clean[lam] = c
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            if coeff:
+                clean[lam] = coeff
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
@@ -86,13 +91,13 @@ class SymFunc:
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc is immutable")
 
-    def coeff(self, lam: Iterable[int]) -> Fraction:
-        return self.terms.get(Partition(lam), Fraction(0))
+    def coeff(self, lam: Iterable[int]) -> int | Fraction:
+        return self.terms.get(Partition(lam), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Partition, int | Fraction]]:
         """Terms in canonical partition order."""
         return [(lam, self.terms[lam]) for lam in sorted(self.terms, reverse=True)]
 
@@ -119,7 +124,7 @@ class SymFunc:
         self._check_compatible(other)
         acc = dict(self.terms)
         for lam, c in other.terms.items():
-            acc[lam] = acc.get(lam, Fraction(0)) + c
+            acc[lam] = acc.get(lam, 0) + c
         return SymFunc(self.basis, self.degree, acc)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
@@ -174,7 +179,7 @@ class SymFunc:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymFunc":
-        terms = {tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]}
+        terms = {tuple(t["partition"]): t["coeff"] for t in data["terms"]}
         return cls(data["basis"], data["degree"], terms)
 
     @classmethod
@@ -185,7 +190,7 @@ class SymFunc:
 def basis_element(basis: str, lam: Iterable[int]) -> SymFunc:
     """The single-term function ``1 * lam`` in the given basis."""
     lam = Partition(lam)
-    return SymFunc(basis, lam.degree, {lam: Fraction(1)})
+    return SymFunc(basis, lam.degree, {lam: 1})
 
 
 class KostkaTable:
@@ -203,14 +208,14 @@ class KostkaTable:
     ``to_s["e"]`` re-keys the columns by conjugation (omega) and
     ``from_s["m"]`` transposes them, so neither needs the inverse.  Reading
     ``from_s["h"]``, ``from_s["e"]`` or ``to_s["m"]`` first solves
-    ``s -> h`` one column at a time in integers, indexed by rank (position in
-    ``partitions``), and checks that ``h -> s -> h`` is the identity before
+    ``s -> h`` one column at a time in integers, indexed by ``rank`` (each
+    partition's position in ``partitions``), and checks that ``h -> s -> h`` is the identity before
     any of its values is returned.
     """
 
     def __init__(self, degree: int):
         parts = enumerate_partitions(degree)
-        rank = {p: i for i, p in enumerate(parts)}
+        rank = self.rank = {p: i for i, p in enumerate(parts)}
         h_to_s = {}
         for j, column in enumerate(_kostka_columns(degree)):
             ranked = sorted((rank[lam], k) for lam, k in column.items())
@@ -234,7 +239,7 @@ class KostkaTable:
         # s_mu = h_mu - sum of K[nu][mu] s_nu over nu before mu, each already
         # solved, on ranks; the diagonal entry is the last of each column.
         parts = self.partitions
-        rank = {p: i for i, p in enumerate(parts)}
+        rank = self.rank
         h_to_s = [[(rank[lam], k) for lam, k in col.items()] for col in self.to_s["h"].values()]
         s_to_h = []
         for j, col in enumerate(h_to_s):
@@ -262,8 +267,7 @@ class KostkaTable:
     def _conjugates(self) -> dict:
         """Each partition's conjugate, as the same object in ``partitions``."""
         parts = self.partitions
-        rank = {p: i for i, p in enumerate(parts)}
-        return {lam: parts[rank[conjugate(lam)]] for lam in parts}
+        return {lam: parts[self.rank[conjugate(lam)]] for lam in parts}
 
 
 class _Maps(dict):
@@ -330,17 +334,18 @@ def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
     """Image of a degree-d character row in the power-sum basis.
 
     The coefficient of the power sum at a cycle type is the character value
-    divided by the centralizer order.
+    divided by the centralizer order ``z_rho = d! / (class size)``.
     """
     _check_row(d, chi)
+    order = factorial(d)
     terms = {
-        rho: Fraction(value, centralizer_order(rho))
-        for rho, value in zip(enumerate_partitions(d), chi)
+        rho: Fraction(value, order // size)
+        for rho, value, size in zip(enumerate_partitions(d), chi, class_sizes(d))
     }
     return SymFunc("p", d, terms)
 
 
-def _expand(terms: Mapping[Partition, Fraction | int], image) -> dict:
+def _expand(terms: Mapping[Partition, int | Fraction], image) -> dict:
     """Sum of ``c * image(lam)`` over the nonzero terms; zero sums are kept."""
     out: dict = {}
     for lam, c in terms.items():
@@ -356,18 +361,19 @@ def _nonzero(terms: Mapping) -> dict:
 
 
 def _convert_terms(
-    d: int, basis: str, terms: Mapping[Partition, Fraction | int], target: str
+    d: int, basis: str, terms: Mapping[Partition, int | Fraction], target: str
 ) -> dict:
     """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
 
-    h, m and e read the :class:`KostkaTable` of ``d``; p reads the characters
-    and builds no Kostka table.  Sums start from the int 0, so integer inputs
-    stay ints on the Kostka paths.  On a p path the terms are first scaled to
-    ints by their common denominator, so every sum runs on ints, and each
-    output term is divided once by that denominator, if it is not 1; s -> p
-    also divides by ``z_rho`` in :func:`characteristic_map`.  Zero
-    coefficients are skipped on the way and dropped from the result, so its
-    keys are those, in the order, that a ``SymFunc`` built on it would store.
+    ``SymFunc.terms`` passes straight in.  h, m and e read the
+    :class:`KostkaTable` of ``d``; p reads the characters and builds no Kostka
+    table.  Sums start from the int 0, so int terms stay ints on the Kostka
+    paths.  On a p path the terms are first scaled to ints by their common
+    denominator, so every sum runs on ints, and each output term is divided
+    once by that denominator, if it is not 1; s -> p also divides by
+    ``z_rho`` in :func:`characteristic_map`.  Zero coefficients are skipped
+    on the way and dropped from the result, so its keys are those, in the
+    order, that a ``SymFunc`` built on it would store.
     """
     if target == basis:
         return _nonzero(terms)
@@ -394,19 +400,13 @@ def _convert_terms(
     return {lam: Fraction(c, den) for lam, c in mid.items() if c}
 
 
-def _terms_in(f: SymFunc, target: str) -> dict:
-    """``_convert_terms`` of ``f``, its integral coefficients read as ints."""
-    terms = {lam: c.numerator if c.denominator == 1 else c for lam, c in f.terms.items()}
-    return _convert_terms(f.degree, f.basis, terms, target)
-
-
 def convert(f: SymFunc, target: str) -> SymFunc:
     """The same symmetric function expressed in the target basis."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}, expected one of {BASES}")
     if target == f.basis:
         return f
-    return SymFunc(target, f.degree, _terms_in(f, target))
+    return SymFunc(target, f.degree, _convert_terms(f.degree, f.basis, f.terms, target))
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -415,8 +415,8 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     Both factors are expanded in the h basis, where the product just
     concatenates and sorts partition indices.
     """
-    fh = _terms_in(f, "h")
-    gh = _terms_in(g, "h")
+    fh = _convert_terms(f.degree, f.basis, f.terms, "h")
+    gh = _convert_terms(g.degree, g.basis, g.terms, "h")
     acc: dict = {}
     for lam, a in fh.items():
         for mu, b in gh.items():
@@ -433,6 +433,6 @@ def scalar_product(f: SymFunc, g: SymFunc) -> Fraction:
     """
     if f.degree != g.degree:
         return Fraction(0)
-    fh = _terms_in(f, "h")
-    gm = _terms_in(g, "m")
+    fh = _convert_terms(f.degree, f.basis, f.terms, "h")
+    gm = _convert_terms(g.degree, g.basis, g.terms, "m")
     return Fraction(sum(fh[lam] * gm[lam] for lam in fh.keys() & gm.keys()))

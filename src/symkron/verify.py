@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 from . import grouporacle, symfunc
 from .combinat import dominance_leq, enumerate_partitions
@@ -73,7 +72,7 @@ def suite_orthonormality(d: int, seed: int):
     for e in range(d + 1):
         bad = []
         for lam, mu in _pairs(e):
-            expected = Fraction(1 if lam == mu else 0)
+            expected = int(lam == mu)
             got = symfunc.scalar_product(
                 symfunc.basis_element("s", lam), symfunc.basis_element("s", mu)
             )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symkron import grouporacle, symfunc
+from symkron import combinat, grouporacle, symfunc
 from symkron.combinat import Partition, centralizer_order, enumerate_partitions
 from symkron.errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 from symkron.grouporacle import jacobi_trudi, jacobi_trudi_dual
@@ -13,9 +13,11 @@ from symkron.symfunc import (
     SymFunc,
     basis_element,
     build_kostka_table,
+    characteristic_map,
     convert,
     multiply,
     scalar_product,
+    specht_character,
 )
 
 from oracles import expand_symfunc
@@ -204,6 +206,24 @@ def test_power_sum_conversions_never_reach_the_brute_force_characters(monkeypatc
             symfunc.specht_character(lam)
 
 
+def test_characteristic_map_reads_z_rho_from_the_class_sizes(monkeypatch):
+    d = 6
+    parts = enumerate_partitions(d)
+    rows = [specht_character(lam) for lam in parts]
+    expected = [
+        SymFunc("p", d, {rho: Fraction(x, centralizer_order(rho)) for rho, x in zip(parts, chi)})
+        for chi in rows
+    ]
+    combinat.class_sizes(d)  # built on centralizer_order once, then only read
+
+    def refuse(rho):
+        raise AssertionError(f"z_rho recomputed for {tuple(rho)}")
+
+    for module in (combinat, symfunc):
+        monkeypatch.setattr(module, "centralizer_order", refuse, raising=False)
+    assert [characteristic_map(d, chi) for chi in rows] == expected
+
+
 def test_character_value_needs_equal_degrees():
     assert symfunc.character_value((2, 1), (2, 1)) == 0
     with pytest.raises(DegreeMismatchError):
@@ -360,14 +380,41 @@ def test_multiply_is_bilinear_over_the_rationals():
                 assert multiply(q * f, r * g) == (q * r) * multiply(f, g)
 
 
-def test_results_are_fraction_valued():
+def _int_when_integral(f):
+    """Every coefficient is an int, or a Fraction whose denominator is greater than 1."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in f.terms.values()
+    )
+
+
+def test_results_are_int_when_integral():
+    integral = SymFunc("s", 3, {(3,): Fraction(4, 2), (2, 1): "6/3", (1, 1, 1): True})
+    assert integral.terms == {(3,): 2, (2, 1): 2, (1, 1, 1): 1}
+    assert all(type(c) is int for c in integral.terms.values())
+    mixed = SymFunc("s", 3, {(3,): "1/2", (2, 1): 3, (1, 1, 1): Fraction(-4, 6)})
+    assert [type(c) for c in mixed.terms.values()] == [Fraction, int, Fraction]
+    back = SymFunc.from_json(mixed.to_json())
+    assert back == mixed
+    assert [type(c) for c in back.terms.values()] == [Fraction, int, Fraction]
+    quarter = SymFunc("s", 3, {(3,): 4, (2, 1): 2}).scale(Fraction(1, 2)).scale(Fraction(1, 2))
+    assert quarter.terms == {(3,): 1, (2, 1): Fraction(1, 2)}
+    assert [type(c) for c in quarter.terms.values()] == [int, Fraction]
+    assert type(integral.coeff((3,))) is int and type(SymFunc("s", 3, {}).coeff((3,))) is int
     for d in range(5):
         parts = enumerate_partitions(d)
         for a, b in itertools.product(BASES, repeat=2):
             for lam in parts:
                 f = basis_element(a, lam) - Fraction(2, 5) * basis_element(a, parts[-1])
+                half = Fraction(1, 2) * basis_element(a, lam)
+                whole = half + half
+                assert whole == basis_element(a, lam) and _int_when_integral(whole)
                 g = basis_element(b, parts[0])
-                for value in (convert(f, b), multiply(f, g), multiply(g, f)):
-                    assert all(type(c) is Fraction for c in value.terms.values())
+                for value in (
+                    convert(f, b), multiply(f, g), multiply(g, f),
+                    convert(whole, b), multiply(whole, g), multiply(g, whole),
+                ):
+                    assert _int_when_integral(value)
+                assert convert(whole, b) == convert(basis_element(a, lam), b)
                 assert type(scalar_product(f, g)) is Fraction
                 assert type(scalar_product(g, basis_element(b, lam))) is Fraction
+                assert type(scalar_product(whole, basis_element(b, lam))) is Fraction
