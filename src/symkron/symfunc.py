@@ -4,14 +4,14 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
-* ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree.  Its
-  tableau-count (Kostka) columns, which one walk adding horizontal strips
-  yields, are ``h -> s`` and are asserted unitriangular.  Every other map is
-  built on its first read: ``s -> m`` transposes the columns and ``e -> s``
-  re-keys them by the involution omega, which swaps ``h`` and ``e`` and
-  conjugates Schur indices; ``s -> h``, ``s -> e`` and ``m -> s`` read the
-  exact integer inverse, which the first of them solves on ranks (positions
-  in canonical order) and checks against ``h -> s -> h`` before returning;
+* ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree: the
+  tableau-count (Kostka) matrix, whose columns one walk adding horizontal
+  strips yields and which is asserted unitriangular, and its exact integer
+  inverse, solved on ranks (positions in canonical order) on first read and
+  checked against ``h -> s -> h`` before returning.  ``h -> s`` expands the
+  columns and ``s -> h`` the inverse; ``s -> m`` and ``m -> s`` read their
+  rows, since m is dual to h; ``e -> s`` and ``s -> e`` read h's with Schur
+  indices conjugated, by the involution omega that swaps ``h`` and ``e``;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
   ``s -> p`` removes them from all Schur terms at once, one walk over the
@@ -32,7 +32,7 @@ denominator and divides each output term by it once, so only that division,
 the ``1/z_rho`` of ``s -> p`` and rational input on the other paths bring
 in a ``Fraction``.  Integrality is asserted where the theory demands it.
 SymFunc values are immutable; per-degree tables are built once, and each of
-their maps is stored once complete and then only read.
+their parts is stored once complete and then only read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import attrgetter
 
@@ -194,98 +194,69 @@ def basis_element(basis: str, lam: Iterable[int]) -> SymFunc:
 
 
 class KostkaTable:
-    """Sparse transitions between the h, m, e bases and s at one degree.
+    """The tableau-count (Kostka) matrix of one degree and its inverse.
 
-    ``to_s[b][lam]`` is the basis element ``b_lam`` in the s basis and
-    ``from_s[b][lam]`` is ``s_lam`` in the basis ``b``, each an
-    ``{partition: int}`` in canonical order; callers only read them.  Column
-    ``mu`` of the tableau-count (Kostka) matrix is ``h_mu`` in the s basis,
-    and one strip walk yields every column of the degree.
-
-    Only ``to_s["h"]`` is built with the table, and every build asserts that
-    the matrix is unit upper triangular in canonical order.  The other five
-    maps are built on their first read and stored once complete:
-    ``to_s["e"]`` re-keys the columns by conjugation (omega) and
-    ``from_s["m"]`` transposes them, so neither needs the inverse.  Reading
-    ``from_s["h"]``, ``from_s["e"]`` or ``to_s["m"]`` first solves
-    ``s -> h`` one column at a time in integers, indexed by ``rank`` (each
-    partition's position in ``partitions``), and checks that ``h -> s -> h`` is the identity before
+    ``columns[mu]`` is ``h_mu`` in the s basis and ``inverse[lam]`` is
+    ``s_lam`` in the h basis, each an ``{partition: int}`` in canonical
+    order; callers only read them.  One strip walk yields every column, and
+    every build asserts that the matrix is unit upper triangular in
+    canonical order.  The other bases read the same two matrices: ``m`` is
+    dual to ``h``, so it reads their rows, and ``e`` is ``omega(h)``, so it
+    reads them with Schur indices relabelled by ``conj``, each partition's
+    conjugate.  ``inverse`` and ``conj`` are built on their first read and
+    stored once complete.  ``inverse`` is solved one column at a time in
+    integers, indexed by ``rank`` (each partition's position in
+    ``partitions``), and checked that ``h -> s -> h`` is the identity before
     any of its values is returned.
     """
 
     def __init__(self, degree: int):
         parts = enumerate_partitions(degree)
         rank = self.rank = {p: i for i, p in enumerate(parts)}
-        h_to_s = {}
+        columns = {}
         for j, column in enumerate(_kostka_columns(degree)):
             ranked = sorted((rank[lam], k) for lam, k in column.items())
             # A unit diagonal entry, and none after it.
             if ranked[-1:] != [(j, 1)]:
                 raise InternalConsistencyError("tableau-count matrix is not unitriangular")
-            h_to_s[parts[j]] = {parts[i]: k for i, k in ranked}
+            columns[parts[j]] = {parts[i]: k for i, k in ranked}
         self.degree = degree
         self.partitions = parts
-        self.to_s = _Maps(
-            {"h": h_to_s}, m=lambda: _transpose(self.from_s["h"]), e=self._e_to_s
-        )
-        self.from_s = _Maps(
-            {}, h=self._s_to_h, m=lambda: _transpose(self.to_s["h"]), e=self._s_to_e
-        )
+        self.columns = columns
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
-        return self.to_s["h"][Partition(mu)].get(Partition(lam), 0)
+        lam, mu = Partition(lam), Partition(mu)
+        for p in (lam, mu):
+            if p.degree != self.degree:
+                raise DegreeMismatchError(
+                    f"{tuple(p)} has degree {p.degree}, but the table has degree {self.degree}"
+                )
+        return self.columns[mu].get(lam, 0)
 
-    def _s_to_h(self) -> dict:
+    @cached_property
+    def inverse(self) -> dict:
         # s_mu = h_mu - sum of K[nu][mu] s_nu over nu before mu, each already
         # solved, on ranks; the diagonal entry is the last of each column.
         parts = self.partitions
         rank = self.rank
-        h_to_s = [[(rank[lam], k) for lam, k in col.items()] for col in self.to_s["h"].values()]
+        ranked = [[(rank[lam], k) for lam, k in col.items()] for col in self.columns.values()]
         s_to_h = []
-        for j, col in enumerate(h_to_s):
+        for j, col in enumerate(ranked):
             solved = {i: -x for i, x in enumerate(_combine(j, col[:-1], s_to_h)) if x}
             solved[j] = 1
             s_to_h.append(solved)
-        for j, col in enumerate(h_to_s):
+        for j, col in enumerate(ranked):
             unit = _combine(len(parts), col, s_to_h)
             unit[j] -= 1
             if any(unit):
                 raise InternalConsistencyError("tableau-count inverse failed to verify")
         return {parts[j]: {parts[i]: x for i, x in col.items()} for j, col in enumerate(s_to_h)}
 
-    def _s_to_e(self) -> dict:
-        s_to_h = self.from_s["h"]
-        conj = self._conjugates()
-        return {lam: s_to_h[conj[lam]] for lam in self.partitions}
-
-    def _e_to_s(self) -> dict:
-        conj = self._conjugates()
-        return {
-            mu: {conj[nu]: k for nu, k in col.items()} for mu, col in self.to_s["h"].items()
-        }
-
-    def _conjugates(self) -> dict:
+    @cached_property
+    def conj(self) -> dict:
         """Each partition's conjugate, as the same object in ``partitions``."""
         parts = self.partitions
         return {lam: parts[self.rank[conjugate(lam)]] for lam in parts}
-
-
-class _Maps(dict):
-    """Maps by basis; a missing one is built by its builder on first read.
-
-    A map is stored only once it is complete, so a warm read is one dict
-    lookup and readers racing on a cold one each build an equal map.
-    """
-
-    __slots__ = ("_builders",)
-
-    def __init__(self, ready: dict, **builders):
-        super().__init__(ready)
-        self._builders = builders
-
-    def __missing__(self, basis: str) -> dict:
-        built = self[basis] = self._builders[basis]()
-        return built
 
 
 def _combine(n: int, terms: Iterable[tuple[int, int]], columns: list[dict]) -> list[int]:
@@ -295,15 +266,6 @@ def _combine(n: int, terms: Iterable[tuple[int, int]], columns: list[dict]) -> l
         for r, x in columns[i].items():
             out[r] += k * x
     return out
-
-
-def _transpose(columns: dict) -> dict:
-    """The rows of a square table given by its columns, both in canonical order."""
-    rows: dict = {p: {} for p in columns}
-    for mu, column in columns.items():
-        for lam, k in column.items():
-            rows[lam][mu] = k
-    return rows
 
 
 @lru_cache(maxsize=None)
@@ -345,14 +307,30 @@ def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
     return SymFunc("p", d, terms)
 
 
-def _expand(terms: Mapping[Partition, int | Fraction], image) -> dict:
-    """Sum of ``c * image(lam)`` over the nonzero terms; zero sums are kept."""
+def _expand(terms: Mapping[Partition, int | Fraction], image: Mapping) -> dict:
+    """Sum of ``c * image[lam]`` over the nonzero terms; zero sums are kept."""
     out: dict = {}
     for lam, c in terms.items():
         if not c:
             continue
-        for nu, x in image(lam).items():
+        for nu, x in image[lam].items():
             out[nu] = out.get(nu, 0) + c * x
+    return out
+
+
+def _rows(columns: Mapping, terms: Mapping[Partition, int | Fraction]) -> dict:
+    """``out[mu] = sum of c_lam * columns[mu][lam]``, in canonical order; zero sums dropped."""
+    out: dict = {}
+    for mu, column in columns.items():
+        # Look up the longer side: a one-term input reads one entry per column.
+        short, other = (terms, column) if len(terms) < len(column) else (column, terms)
+        total = 0
+        for lam, x in short.items():
+            y = other.get(lam)
+            if y:
+                total += x * y
+        if total:
+            out[mu] = total
     return out
 
 
@@ -385,16 +363,26 @@ def _convert_terms(
     mid = terms
     if basis == "p":
         rhos = sorted(terms, reverse=True)
-        mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))).__getitem__)
+        mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))))
         mid = {lam: mid[lam] for lam in enumerate_partitions(d) if lam in mid}
+    elif basis == "m":
+        mid = _rows(build_kostka_table(d).inverse, terms)
     elif basis != "s":
-        mid = _expand(terms, build_kostka_table(d).to_s[basis].__getitem__)
+        table = build_kostka_table(d)
+        mid = _expand(terms, table.columns)
+        if basis == "e":
+            mid = {table.conj[lam]: c for lam, c in mid.items()}
     if target == "p":
         # ch of the integer class function: the sum of c_lam chi^lam.
         chi = _class_function(d, mid)
         mid = characteristic_map(d, chi).terms
+    elif target == "m":
+        mid = _rows(build_kostka_table(d).columns, mid)
     elif target != "s":
-        mid = _expand(mid, build_kostka_table(d).from_s[target].__getitem__)
+        table = build_kostka_table(d)
+        if target == "e":
+            mid = {table.conj[lam]: c for lam, c in mid.items()}
+        mid = _expand(mid, table.inverse)
     if den == 1:
         return _nonzero(mid)
     return {lam: Fraction(c, den) for lam, c in mid.items() if c}

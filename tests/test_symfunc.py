@@ -56,19 +56,18 @@ def test_kostka_table_small():
     table = build_kostka_table(2)
     assert table.partitions == ((2,), (1, 1))
     # The tableau-count matrix and its inverse at d=2, column by column.
-    assert table.to_s["h"] == {(2,): {(2,): 1}, (1, 1): {(2,): 1, (1, 1): 1}}
-    assert table.from_s["h"] == {(2,): {(2,): 1}, (1, 1): {(2,): -1, (1, 1): 1}}
+    assert table.columns == {(2,): {(2,): 1}, (1, 1): {(2,): 1, (1, 1): 1}}
+    assert table.inverse == {(2,): {(2,): 1}, (1, 1): {(2,): -1, (1, 1): 1}}
     for d in range(7):
         table = build_kostka_table(d)
         for lam in table.partitions:
             assert table.kostka(lam, lam) == 1
-            for basis in ("h", "m", "e"):
-                for there, back in (("to_s", "from_s"), ("from_s", "to_s")):
-                    total = {}
-                    for nu, c in getattr(table, there)[basis][lam].items():
-                        for mu, x in getattr(table, back)[basis][nu].items():
-                            total[mu] = total.get(mu, 0) + c * x
-                    assert {mu: c for mu, c in total.items() if c} == {lam: 1}
+            for there, back in ((table.columns, table.inverse), (table.inverse, table.columns)):
+                total = {}
+                for nu, c in there[lam].items():
+                    for mu, x in back[nu].items():
+                        total[mu] = total.get(mu, 0) + c * x
+                assert {mu: c for mu, c in total.items() if c} == {lam: 1}
 
 
 def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
@@ -92,6 +91,13 @@ def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
     assert symfunc.KostkaTable(3).kostka((3,), (2, 1)) == 1
 
 
+def test_kostka_refuses_partitions_off_the_table_degree():
+    table = build_kostka_table(3)
+    for lam, mu in (((4,), (2, 1)), ((3,), (2, 2)), ((2,), (3,)), ((3,), ())):
+        with pytest.raises(DegreeMismatchError):
+            table.kostka(lam, mu)
+
+
 def test_kostka_table_refuses_a_corrupted_inverse(monkeypatch):
     combine = symfunc._combine
 
@@ -102,12 +108,13 @@ def test_kostka_table_refuses_a_corrupted_inverse(monkeypatch):
         return out
 
     monkeypatch.setattr(symfunc, "_combine", corrupt)
-    # The inverse is solved, and checked, on the first read of a map built from it.
-    for maps, basis in (("from_s", "h"), ("from_s", "e"), ("to_s", "m")):
+    # The inverse is solved, and checked, on the first conversion that reads it.
+    for source, target in (("s", "h"), ("s", "e"), ("m", "s")):
         table = symfunc.KostkaTable(3)
+        monkeypatch.setattr(symfunc, "build_kostka_table", lambda d: table)
         with pytest.raises(InternalConsistencyError, match="inverse failed to verify"):
-            getattr(table, maps)[basis]
-        assert dict(table.from_s) == {} and list(table.to_s) == ["h"]
+            convert(basis_element(source, (2, 1)), target)
+        assert "inverse" not in vars(table)
 
 
 def test_inverse_free_reads_never_solve_the_inverse(monkeypatch):
@@ -117,9 +124,11 @@ def test_inverse_free_reads_never_solve_the_inverse(monkeypatch):
     monkeypatch.setattr(symfunc, "_combine", solve)
     for d in range(7):
         table = symfunc.KostkaTable(d)
-        for maps, basis in (("to_s", "h"), ("to_s", "e"), ("from_s", "m")):
-            assert len(getattr(table, maps)[basis]) == len(table.partitions)
-        assert "h" not in table.from_s
+        monkeypatch.setattr(symfunc, "build_kostka_table", lambda d: table)
+        for source, target in (("h", "s"), ("e", "s"), ("s", "m"), ("h", "m"), ("e", "m")):
+            for lam in table.partitions:
+                assert not convert(basis_element(source, lam), target).is_zero()
+        assert "inverse" not in vars(table)
 
 
 def test_conversion_examples():
@@ -237,12 +246,17 @@ def test_jacobi_trudi_duality():
 
 
 def test_h_to_s_coefficients_are_tableau_counts():
+    # count_ssyt removes strips from the shape and reads no KostkaTable.
     for d in range(7):
-        table = build_kostka_table(d)
-        for lam in table.partitions:
-            expanded = convert(basis_element("h", lam), "s")
-            for mu in table.partitions:
-                assert expanded.coeff(mu) == table.kostka(mu, lam)
+        parts = enumerate_partitions(d)
+        for lam in parts:
+            h_in_s = convert(basis_element("h", lam), "s")
+            s_in_m = convert(basis_element("s", lam), "m")
+            e_in_s = convert(basis_element("e", lam), "s")
+            for mu in parts:
+                assert h_in_s.coeff(mu) == combinat.count_ssyt(mu, lam)
+                assert s_in_m.coeff(mu) == combinat.count_ssyt(lam, mu)
+                assert e_in_s.coeff(mu) == combinat.count_ssyt(combinat.conjugate(mu), lam)
 
 
 def test_integrality_of_integral_basis_conversions():
