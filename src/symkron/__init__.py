@@ -40,7 +40,6 @@ from .grouporacle import (
     jacobi_trudi,
     jacobi_trudi_dual,
     permutation_character,
-    specht_generator_rank,
     tensor_orbit_decompose,
 )
 from .kronecker import kronecker, kronecker_coefficient, kronecker_h

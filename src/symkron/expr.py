@@ -225,8 +225,8 @@ def _eval(node: Node) -> dict[int, symfunc.SymFunc]:
                     _merge(out, symfunc.multiply(f, g), 1)
             return out
         if node.op == "#":
-            f = _single(left, "'#' needs homogeneous operands")
-            g = _single(right, "'#' needs homogeneous operands")
+            mixed = "'#' needs homogeneous operands, got degrees {}"
+            f, g = _single(left, mixed), _single(right, mixed)
             if f.degree != g.degree:
                 raise DegreeMismatchError(
                     f"'#' needs equal degrees, got {f.degree} and {g.degree}"

@@ -6,23 +6,21 @@ permutations, so it can cross-check the structural rules implemented in
 
 * permutation modules are spanned by tuples with a prescribed multiplicity
   of each value, acted on by place permutation from the right;
-* orbits are walked one way, by closing explicit tuples or vectors under
-  the adjacent transpositions through :func:`act`, never by scanning a group;
+* orbits are walked one way, by closing explicit tuples under the
+  adjacent transpositions through :func:`act`, never by scanning a group;
 * tensor products of two such modules are decomposed into the orbits of
   basis pairs, walked on index maps of the generators; every member of an
   orbit must carry the same multiset of value pairs as its start, compared
   as the sorted list of one integer code per pair, and the orbit size must
   be the multinomial of their overlap matrix;
-* Specht ranks: the signed column sum is the closure of the column word
-  under the transpositions inside each column, and its orbit the closure of
-  that vector under all of them, up to sign;
 * a character is a tuple of values in canonical cycle-type order; the
   permutation characters count fixed tuples under one representative per
   class, every tuple tested at every position, in bulk on the basis packed
   column by column into integers with a byte per tuple.  Gram-Schmidt over
-  them gives the irreducible characters, which checks the
-  Murnaghan-Nakayama characters of symfunc.  The character route
-  to the internal product is :func:`permutation_character` through
+  them gives the irreducible characters, whose identity column holds the
+  Specht dimensions, and which check the Murnaghan-Nakayama characters of
+  symfunc.  The character route to the internal product is
+  :func:`permutation_character` through
   :func:`symkron.symfunc.characteristic_map`;
 * Schur functions are expanded in the h and e bases by the Jacobi-Trudi
   determinants, summed over every permutation, which check the Kostka-table
@@ -35,10 +33,9 @@ action on tuples is ``act(sigma, i)[t] = i[sigma(t)]``, which makes
 
 Orbit enumeration refuses more than :data:`MAX_ORBIT_PAIRS` = 6!² basis
 pairs (:func:`_check_orbit_pairs`), so every pair of degree 6 fits, and
-permutation characters, the Specht-generator rank and the Jacobi-Trudi
-determinants refuse more than 8! tuples, group elements or determinant
-terms; this layer exists for desk-scale verification, not production
-counting.
+permutation characters, the character table and the Jacobi-Trudi
+determinants refuse more than 8! tuples or determinant terms; this layer
+exists for desk-scale verification, not production counting.
 """
 
 from __future__ import annotations
@@ -79,10 +76,6 @@ def _refuse_above(cap: int, count: int, things: str) -> None:
 
 
 # -- permutations ------------------------------------------------------------
-
-
-def identity_perm(d: int) -> Perm:
-    return tuple(range(1, d + 1))
 
 
 def compose(sigma: Perm, tau: Perm) -> Perm:
@@ -354,79 +347,3 @@ def jacobi_trudi_dual(lam: Iterable[int]) -> symfunc.SymFunc:
     """Schur function as the conjugate-shape determinant in the e basis."""
     lam = Partition(lam)
     return symfunc.SymFunc("e", lam.degree, _det_expansion(tuple(conjugate(lam))))
-
-
-# -- explicit Specht generators -----------------------------------------------
-
-
-def specht_generator_rank(lam: Iterable[int]) -> int:
-    """Rank of the span of the orbit of the signed column-symmetrized tuple.
-
-    The column word runs 1..c on each column block of c positions.  Closing
-    it under the transpositions inside each block, with the sign flipped at
-    each step, gives the alternating sum over the column group; the signs
-    are well defined because that group acts freely on the word.  Closing
-    this vector under all adjacent transpositions, up to sign, gives its
-    orbit, which is row reduced over exact rationals.  Refuses group orders
-    above 8! before any work.
-    """
-    lam = Partition(lam)
-    d = lam.degree
-    order = math.factorial(d)
-    if order > MAX_GROUP_ORDER:
-        raise BudgetExceededError(
-            f"group order {order} exceeds the cap of {MAX_GROUP_ORDER}"
-        )
-    gens = _adjacent_transpositions(d)
-    word: list[int] = []
-    column_gens: list[Perm] = []
-    for c in conjugate(lam):
-        column_gens.extend(gens[len(word) : len(word) + c - 1])
-        word.extend(range(1, c + 1))
-    generator = {tuple(word): 1}
-    terms = [tuple(word)]
-    # The loops below also visit the entries appended while they run.
-    for t in terms:
-        for g in column_gens:
-            moved = act(g, t)
-            if moved not in generator:
-                generator[moved] = -generator[t]
-                terms.append(moved)
-
-    # The column word is the least term, with coefficient 1: already normalized.
-    vectors = [generator]
-    seen = {frozenset(generator.items())}
-    for vec in vectors:
-        for g in gens:
-            moved = {act(g, t): c for t, c in vec.items()}
-            if moved[min(moved)] < 0:
-                moved = {t: -c for t, c in moved.items()}
-            key = frozenset(moved.items())
-            if key not in seen:
-                seen.add(key)
-                vectors.append(moved)
-    return _rational_rank(vectors)
-
-
-def _rational_rank(vectors: list[dict[IndexTuple, int]]) -> int:
-    """Rank of sparse rational row vectors by incremental elimination."""
-    pivots: dict[IndexTuple, dict[IndexTuple, Fraction]] = {}
-    rank = 0
-    for vec in vectors:
-        row = {c: Fraction(v) for c, v in vec.items() if v}
-        while row:
-            col = min(row)
-            if col in pivots:
-                factor = row[col]
-                for c, v in pivots[col].items():
-                    nv = row.get(c, Fraction(0)) - factor * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            else:
-                factor = row[col]
-                pivots[col] = {c: v / factor for c, v in row.items()}
-                rank += 1
-                break
-    return rank

@@ -273,13 +273,6 @@ def build_kostka_table(d: int) -> KostkaTable:
     return KostkaTable(d)
 
 
-def character_value(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Irreducible character of the partition ``lam`` at the cycle type ``rho``."""
-    if sum(lam) != sum(rho):
-        raise DegreeMismatchError(f"shape {lam} and cycle type {rho} differ in degree")
-    return next(_walk([tuple(-k for k in rho)], _border_strips, {tuple(lam): 1})).get((), 0)
-
-
 def _class_function(d: int, terms: Mapping) -> tuple[int, ...]:
     """``sum of c_lam * chi^lam`` at each cycle type of ``d``: strips removed, read at ``()``."""
     removals = [tuple(-k for k in rho) for rho in enumerate_partitions(d)]

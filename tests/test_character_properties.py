@@ -13,7 +13,7 @@ from symkron.combinat import (
     count_standard_tableaux,
     enumerate_partitions,
 )
-from symkron.symfunc import SymFunc, character_value, convert
+from symkron.symfunc import SymFunc, convert, specht_character
 
 PROPERTY = settings(deadline=None, max_examples=40)
 
@@ -32,10 +32,9 @@ pairs = degrees.flatmap(lambda d: st.tuples(_partitions_of(d), _partitions_of(d)
 @given(pairs)
 def test_column_orthogonality(pair):
     rho, sigma = pair
-    total = sum(
-        character_value(lam, rho) * character_value(lam, sigma)
-        for lam in enumerate_partitions(sum(rho))
-    )
+    parts = enumerate_partitions(sum(rho))
+    i, j = parts.index(rho), parts.index(sigma)
+    total = sum(chi[i] * chi[j] for chi in map(specht_character, parts))
     assert total == (centralizer_order(rho) if rho == sigma else 0)
 
 
@@ -43,14 +42,16 @@ def test_column_orthogonality(pair):
 @given(pairs)
 def test_conjugate_shape_twists_by_the_sign(pair):
     lam, rho = pair
+    i = enumerate_partitions(sum(rho)).index(rho)
     sign = (-1) ** (sum(rho) - len(rho))
-    assert character_value(conjugate(lam), rho) == sign * character_value(lam, rho)
+    assert specht_character(conjugate(lam))[i] == sign * specht_character(lam)[i]
 
 
 @PROPERTY
 @given(partitions)
 def test_degree_counts_standard_tableaux(lam):
-    assert character_value(lam, (1,) * sum(lam)) == count_standard_tableaux(lam)
+    # 1^d, the identity's cycle type, comes last in canonical order.
+    assert specht_character(lam)[-1] == count_standard_tableaux(lam)
 
 
 # Nonzero, so every term is present; 11, 13 and 97 divide no d! with d <= 7,
@@ -93,8 +94,8 @@ def test_power_sum_conversions_are_exact(f):
     in_s = convert(f, "s")
     expected = {}
     for lam, c in in_s.terms.items():
-        for rho in enumerate_partitions(f.degree):
-            x = c * Fraction(character_value(lam, rho), centralizer_order(rho))
+        for rho, chi in zip(enumerate_partitions(f.degree), specht_character(lam)):
+            x = c * Fraction(chi, centralizer_order(rho))
             expected[rho] = expected.get(rho, 0) + x
     in_p = SymFunc("p", f.degree, expected)
     assert convert(f, "p") == in_p
@@ -107,8 +108,11 @@ def test_power_sum_conversions_are_exact(f):
 @example(_dense("p"))
 def test_power_sums_convert_to_schur_exactly(f):
     # p_rho = sum over lam of chi^lam(rho) s_lam, added up term by term.
+    parts = enumerate_partitions(f.degree)
+    rows = {lam: specht_character(lam) for lam in parts}
     expected = {}
     for rho, c in f.terms.items():
-        for lam in enumerate_partitions(f.degree):
-            expected[lam] = expected.get(lam, 0) + c * character_value(lam, rho)
+        i = parts.index(rho)
+        for lam, chi in rows.items():
+            expected[lam] = expected.get(lam, 0) + c * chi[i]
     assert convert(f, "s") == SymFunc("s", f.degree, expected)

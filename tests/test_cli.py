@@ -18,7 +18,7 @@ from symkron import grouporacle, symfunc, verify
 from symkron.contingency import ContingencyMatrix
 from symkron.cli import _COMMANDS, _FORMAT, _read_args, main
 from symkron.errors import BudgetExceededError
-from symkron.grouporacle import specht_generator_rank
+from symkron.grouporacle import permutation_character
 from symkron.symfunc import SymFunc
 from symkron.verify import run_verify
 
@@ -238,6 +238,10 @@ def test_exit_codes(capsys):
     # degree mismatch under '#'
     code, _, err = run_cli(capsys, "kron", "--expr", "s[1] # s[2]")
     assert code == 2
+    # a mixed-degree operand under '#' names its degrees, sorted
+    for expr, degrees in (("(s[1]+s[2])#s[1]", "[1, 2]"), ("s[1]#(s[3]+s[1]+s[2])", "[1, 2, 3]")):
+        message = f"error: '#' needs homogeneous operands, got degrees {degrees}\n"
+        assert run_cli(capsys, "kron", "--expr", expr) == (2, "", message)
     # malformed margins
     code, _, err = run_cli(capsys, "contingency", "--lambda", "2,x", "--mu", "1,1")
     assert code == 2
@@ -333,8 +337,8 @@ def test_budget_caps_apply(capsys, monkeypatch):
     monkeypatch.setattr(verify, "MAX_VERIFY_DEGREE", 2)
     code, _, err = run_cli(capsys, "verify", "--suite", "kostka", "--d", "3")
     assert code == 3 and "cap of 2" in err
-    with pytest.raises(BudgetExceededError, match="cap of 40320"):
-        specht_generator_rank((9,))
+    with pytest.raises(BudgetExceededError, match="362880 basis tuples exceed the cap of 40320"):
+        permutation_character((1,) * 9)
 
 
 def test_library_verify_reads_the_degree_cap(monkeypatch):
@@ -356,7 +360,7 @@ def test_malformed_budget_variables_do_not_break_import(capsys, monkeypatch):
             [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=60
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
-    assert specht_generator_rank((2, 1)) == 2
+    assert permutation_character((2, 1)) == (0, 1, 3)
 
 
 def test_malformed_pair_cap_fails_only_suites_that_read_it(capsys, monkeypatch):

@@ -233,12 +233,6 @@ def test_characteristic_map_reads_z_rho_from_the_class_sizes(monkeypatch):
     assert [characteristic_map(d, chi) for chi in rows] == expected
 
 
-def test_character_value_needs_equal_degrees():
-    assert symfunc.character_value((2, 1), (2, 1)) == 0
-    with pytest.raises(DegreeMismatchError):
-        symfunc.character_value((2, 1), (2,))
-
-
 def test_jacobi_trudi_duality():
     for d in range(7):
         for lam in enumerate_partitions(d):
