@@ -4,13 +4,14 @@ On complete symmetric functions the product is structural: the product of
 ``h_lam`` and ``h_mu`` is the sum of ``h`` terms over the margin-matrix
 decomposition of the corresponding permutation-module tensor product.  A
 factor given in h or e is used as it is; any other is expanded in h or in e,
-whichever has fewer terms.  The e expansion of ``f`` carries the h
-coefficients of ``omega(f)``, and since ``s_(1^d)`` acts as omega,
-``omega(f) * g = omega(f * g) = f * omega(g)``.  So the margin rule sums the
-product in h when neither or both factors are in e, and in e when exactly one
-is.  The character route, ``symfunc.characteristic_map`` of pointwise
-products of ``grouporacle.permutation_character``, stays independent: each
-checks the other.
+whichever has fewer terms, by the rim-hook rows of ``symfunc._s_in_h``.  The
+e expansion of ``f`` carries the h coefficients of ``omega(f)``, and since
+``s_(1^d)`` acts as omega, ``omega(f) * g = omega(f * g) = f * omega(g)``.
+So the margin rule sums the product in h when neither or both factors are
+in e, and in e when exactly one is.  The character route,
+``symfunc.characteristic_map`` of pointwise products of
+``grouporacle.permutation_character``, stays independent: each checks the
+other.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def _shorter_expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
     """``f`` in h or in e, and whether e was taken; a factor in either is taken as given.
 
     Any other is converted to s once, so a p factor walks its characters
-    once, and keeps the shorter of its h and e expansions (h on a tie).
+    once; its h and e expansions read the rim-hook rows of its s terms, and
+    the shorter is kept (h on a tie).
     """
     if f.basis in ("h", "e"):
         return f.terms, f.basis == "e"

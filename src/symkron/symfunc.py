@@ -4,14 +4,14 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
-* ``h``, ``m`` and ``e`` by the :class:`KostkaTable` of their degree: the
-  tableau-count (Kostka) matrix, whose columns one walk adding horizontal
-  strips yields and which is asserted unitriangular, and its exact integer
-  inverse, solved on ranks (positions in canonical order) on first read and
-  checked against ``h -> s -> h`` before returning.  ``h -> s`` expands the
-  columns and ``s -> h`` the inverse; ``s -> m`` and ``m -> s`` read their
-  rows, since m is dual to h; ``e -> s`` and ``s -> e`` read h's with Schur
-  indices conjugated, by the involution omega that swaps ``h`` and ``e``;
+* ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix: the columns of
+  the :class:`KostkaTable` of their degree, which one walk adding horizontal
+  strips yields, and the rows of its inverse, which :func:`_s_in_h` gives by
+  removing special rim hooks; each is asserted unitriangular, and nothing is
+  solved.  ``h -> s`` expands the columns and ``s -> h`` the rows; ``s -> m``
+  and ``m -> s`` read them transposed, since m is dual to h; ``e -> s`` and
+  ``s -> e`` read h's with Schur indices conjugated, by the involution omega
+  that swaps ``h`` and ``e``;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
   ``s -> p`` removes them from all Schur terms at once, one walk over the
@@ -38,7 +38,7 @@ their parts is stored once complete and then only read.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
@@ -194,20 +194,14 @@ def basis_element(basis: str, lam: Iterable[int]) -> SymFunc:
 
 
 class KostkaTable:
-    """The tableau-count (Kostka) matrix of one degree and its inverse.
+    """The tableau-count (Kostka) matrix of one degree.
 
-    ``columns[mu]`` is ``h_mu`` in the s basis and ``inverse[lam]`` is
-    ``s_lam`` in the h basis, each an ``{partition: int}`` in canonical
-    order; callers only read them.  One strip walk yields every column, and
-    every build asserts that the matrix is unit upper triangular in
-    canonical order.  The other bases read the same two matrices: ``m`` is
-    dual to ``h``, so it reads their rows, and ``e`` is ``omega(h)``, so it
-    reads them with Schur indices relabelled by ``conj``, each partition's
-    conjugate.  ``inverse`` and ``conj`` are built on their first read and
-    stored once complete.  ``inverse`` is solved one column at a time in
-    integers, indexed by ``rank`` (each partition's position in
-    ``partitions``), and checked that ``h -> s -> h`` is the identity before
-    any of its values is returned.
+    ``columns[mu]`` is ``h_mu`` in the s basis, an ``{partition: int}`` in
+    canonical order; callers only read it.  One strip walk yields every
+    column, and every build asserts that the matrix is unit upper triangular
+    in canonical order.  ``m`` reads the rows of the same matrix, and ``e``
+    reads it with Schur indices relabelled by ``conj``, each partition's
+    conjugate, built on first read.  :func:`_s_in_h` gives the inverse's rows.
     """
 
     def __init__(self, degree: int):
@@ -234,38 +228,10 @@ class KostkaTable:
         return self.columns[mu].get(lam, 0)
 
     @cached_property
-    def inverse(self) -> dict:
-        # s_mu = h_mu - sum of K[nu][mu] s_nu over nu before mu, each already
-        # solved, on ranks; the diagonal entry is the last of each column.
-        parts = self.partitions
-        rank = self.rank
-        ranked = [[(rank[lam], k) for lam, k in col.items()] for col in self.columns.values()]
-        s_to_h = []
-        for j, col in enumerate(ranked):
-            solved = {i: -x for i, x in enumerate(_combine(j, col[:-1], s_to_h)) if x}
-            solved[j] = 1
-            s_to_h.append(solved)
-        for j, col in enumerate(ranked):
-            unit = _combine(len(parts), col, s_to_h)
-            unit[j] -= 1
-            if any(unit):
-                raise InternalConsistencyError("tableau-count inverse failed to verify")
-        return {parts[j]: {parts[i]: x for i, x in col.items()} for j, col in enumerate(s_to_h)}
-
-    @cached_property
     def conj(self) -> dict:
         """Each partition's conjugate, as the same object in ``partitions``."""
         parts = self.partitions
         return {lam: parts[self.rank[conjugate(lam)]] for lam in parts}
-
-
-def _combine(n: int, terms: Iterable[tuple[int, int]], columns: list[dict]) -> list[int]:
-    """Sum of ``k * columns[i]`` over the ``(i, k)`` terms, as ``n`` sums indexed by rank."""
-    out = [0] * n
-    for i, k in terms:
-        for r, x in columns[i].items():
-            out[r] += k * x
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -300,15 +266,42 @@ def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
     return SymFunc("p", d, terms)
 
 
-def _expand(terms: Mapping[Partition, int | Fraction], image: Mapping) -> dict:
-    """Sum of ``c * image[lam]`` over the nonzero terms; zero sums are kept."""
+def _expand(terms: Mapping[Partition, int | Fraction], image: Callable[..., Mapping]) -> dict:
+    """Sum of ``c * image(lam)`` over the nonzero terms; zero sums are kept."""
     out: dict = {}
     for lam, c in terms.items():
         if not c:
             continue
-        for nu, x in image[lam].items():
+        for nu, x in image(lam).items():
             out[nu] = out.get(nu, 0) + c * x
     return out
+
+
+@lru_cache(maxsize=None)
+def _s_in_h(lam: tuple[int, ...]) -> dict[Partition, int]:
+    """``s_lam`` in h, in canonical order, by special rim hooks (Egecioglu-Remmel 1990).
+
+    The rim hook from the first box of the last of ``n`` rows to the end of
+    row ``i`` has ``lam[i] + n - 1 - i`` boxes and sign ``(-1)**(n - 1 - i)``;
+    it leaves ``lam[:i]`` and the later parts less one, and its size joins each
+    h index of that shape's row (Jacobi-Trudi by its last column, Macdonald
+    I.3).  The row must be 1 at ``h_lam`` and name nothing after ``lam``.  The
+    cached dict is shared: read it, never hand it out.
+    """
+    n = len(lam)
+    if not n:
+        return {Partition(): 1}
+    out: dict = {}
+    for i in range(n):
+        k = lam[i] + n - 1 - i
+        sign = -1 if (n - 1 - i) % 2 else 1
+        for mu, c in _s_in_h(lam[:i] + tuple(p - 1 for p in lam[i + 1 :] if p > 1)).items():
+            key = tuple(sorted(mu + (k,), reverse=True))
+            out[key] = out.get(key, 0) + sign * c
+    row = sorted(((mu, c) for mu, c in out.items() if c), reverse=True)
+    if row[-1:] != [(lam, 1)]:
+        raise InternalConsistencyError("inverse tableau-count row is not unitriangular")
+    return {tuple.__new__(Partition, mu): c for mu, c in row}
 
 
 def _rows(columns: Mapping, terms: Mapping[Partition, int | Fraction]) -> dict:
@@ -336,9 +329,12 @@ def _convert_terms(
 ) -> dict:
     """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
 
-    ``SymFunc.terms`` passes straight in.  h, m and e read the
-    :class:`KostkaTable` of ``d``; p reads the characters and builds no Kostka
-    table.  Sums start from the int 0, so int terms stay ints on the Kostka
+    ``SymFunc.terms`` passes straight in.  On the way into s, h and e read
+    the columns of the :class:`KostkaTable` of ``d`` and m the rim-hook rows
+    of :func:`_s_in_h`; on the way out, m reads the rows of the columns and h
+    the rim-hook rows, and e also reads ``conj``.  So s to h, m to s and m to
+    h build no table, nor does p, which reads the characters.  Sums start
+    from the int 0, so int terms stay ints on the Kostka and rim-hook
     paths.  On a p path the terms are first scaled to ints by their common
     denominator, so every sum runs on ints, and each output term is divided
     once by that denominator, if it is not 1; s -> p also divides by
@@ -356,13 +352,13 @@ def _convert_terms(
     mid = terms
     if basis == "p":
         rhos = sorted(terms, reverse=True)
-        mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))))
+        mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))).__getitem__)
         mid = {lam: mid[lam] for lam in enumerate_partitions(d) if lam in mid}
     elif basis == "m":
-        mid = _rows(build_kostka_table(d).inverse, terms)
+        mid = _rows({lam: _s_in_h(lam) for lam in enumerate_partitions(d)}, terms)
     elif basis != "s":
         table = build_kostka_table(d)
-        mid = _expand(terms, table.columns)
+        mid = _expand(terms, table.columns.__getitem__)
         if basis == "e":
             mid = {table.conj[lam]: c for lam, c in mid.items()}
     if target == "p":
@@ -372,10 +368,10 @@ def _convert_terms(
     elif target == "m":
         mid = _rows(build_kostka_table(d).columns, mid)
     elif target != "s":
-        table = build_kostka_table(d)
         if target == "e":
-            mid = {table.conj[lam]: c for lam, c in mid.items()}
-        mid = _expand(mid, table.inverse)
+            conj = build_kostka_table(d).conj
+            mid = {conj[lam]: c for lam, c in mid.items()}
+        mid = _expand(mid, _s_in_h)
     if den == 1:
         return _nonzero(mid)
     return {lam: Fraction(c, den) for lam, c in mid.items() if c}

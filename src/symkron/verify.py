@@ -6,8 +6,9 @@ each other and reports one line per degree and identity family.  Suites:
 * ``monoidal``: margin-matrix decomposition of permutation-module tensor
   products against explicit orbit enumeration, including the per-orbit
   size and overlap-matrix checks.
-* ``orthonormality``: Schur elements pair to the identity matrix; complete
-  and monomial elements are dual.
+* ``orthonormality``: Schur elements pair to the identity matrix, rim-hook
+  rows (s in h) against Kostka columns (s in m); complete and monomial
+  elements are dual.
 * ``kostka``: unit diagonal, dominance support, the complete-to-Schur
   transition, the brute-force character table against the
   Murnaghan-Nakayama characters, and the decomposition of permutation

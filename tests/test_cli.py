@@ -137,6 +137,24 @@ def test_convert_json_round_trip(capsys):
     assert f.coeff((3,)) == 1 and f.coeff((2, 1)) == 1 and f.coeff((1, 1, 1)) == 0
 
 
+def test_schur_to_h_reads_no_table_of_the_degree():
+    # Rim hooks read only the shape, so these answer at once; a walk over the
+    # partitions of the degree would never finish and fails on the timeout.
+    three_rows = (
+        "-h[3002,2000,998] + h[3002,1999,999] + h[3001,2001,998] - h[3001,1999,1000]"
+        " - h[3000,2001,999] + h[3000,2000,1000]\n"
+    )
+    for expr, out in (
+        ("s[99999999999999999999]", "h[99999999999999999999]\n"),
+        ("s[3000,2000,1000]", three_rows),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symkron.cli", "convert", "--expr", expr, "--basis", "h"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 def test_mixed_degree_sum_needs_formal_flag(capsys):
     code, _, err = run_cli(capsys, "convert", "--expr", "h[1] + h[2]", "--basis", "h")
     assert code == 2 and "degrees" in err

@@ -412,6 +412,7 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         "characteristic_map",
         "build_kostka_table",
         "KostkaTable",
+        "_s_in_h",
         "count_ssyt",
         "_kostka_columns",
         "_walk",

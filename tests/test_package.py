@@ -124,6 +124,7 @@ MEMOS = {
     "grouporacle._perm_char",
     "grouporacle.character_table",
     "kronecker._kronecker_h",
+    "symfunc._s_in_h",
     "symfunc.build_kostka_table",
 }
 # The margin counts keep their states in module-level dicts.

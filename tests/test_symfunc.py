@@ -55,14 +55,16 @@ def test_basis_element_examples():
 def test_kostka_table_small():
     table = build_kostka_table(2)
     assert table.partitions == ((2,), (1, 1))
-    # The tableau-count matrix and its inverse at d=2, column by column.
+    # The tableau-count matrix and the rim-hook rows of its inverse at d=2.
     assert table.columns == {(2,): {(2,): 1}, (1, 1): {(2,): 1, (1, 1): 1}}
-    assert table.inverse == {(2,): {(2,): 1}, (1, 1): {(2,): -1, (1, 1): 1}}
-    for d in range(7):
+    assert [symfunc._s_in_h(lam) for lam in table.partitions] == [{(2,): 1}, {(2,): -1, (1, 1): 1}]
+    # Horizontal strips against rim hooks: rows times columns is the identity both ways.
+    for d in range(11):
         table = build_kostka_table(d)
+        rows = {lam: symfunc._s_in_h(lam) for lam in table.partitions}
         for lam in table.partitions:
             assert table.kostka(lam, lam) == 1
-            for there, back in ((table.columns, table.inverse), (table.inverse, table.columns)):
+            for there, back in ((table.columns, rows), (rows, table.columns)):
                 total = {}
                 for nu, c in there[lam].items():
                     for mu, x in back[nu].items():
@@ -98,37 +100,46 @@ def test_kostka_refuses_partitions_off_the_table_degree():
             table.kostka(lam, mu)
 
 
-def test_kostka_table_refuses_a_corrupted_inverse(monkeypatch):
-    combine = symfunc._combine
-
-    def corrupt(n, terms, columns):
-        out = combine(n, terms, columns)
-        if n == 2:  # at degree 3, only the solve of column (1, 1, 1) sums two ranks
-            out[0] += 1
-        return out
-
-    monkeypatch.setattr(symfunc, "_combine", corrupt)
-    # The inverse is solved, and checked, on the first conversion that reads it.
-    for source, target in (("s", "h"), ("s", "e"), ("m", "s")):
-        table = symfunc.KostkaTable(3)
-        monkeypatch.setattr(symfunc, "build_kostka_table", lambda d: table)
-        with pytest.raises(InternalConsistencyError, match="inverse failed to verify"):
-            convert(basis_element(source, (2, 1)), target)
-        assert "inverse" not in vars(table)
+def test_rim_hook_rows_refuse_a_corrupted_row(monkeypatch):
+    # s_(2,1) = h_(2,1) - h_3 reads the row of (2,); corrupting that row puts
+    # 2 at h_(2,1), or a term h_(1,1,1) after (2,1), into the row of (2,1).
+    real = symfunc._s_in_h
+    corruptions = {
+        "diagonal 2": {(2,): 2},
+        "a term after the diagonal": {(2,): 1, (1, 1): 1},
+    }
+    for what, row in corruptions.items():
+        monkeypatch.setattr(symfunc, "_s_in_h", lambda lam: row if lam == (2,) else real(lam))
+        for source, target in (("s", "h"), ("s", "e"), ("m", "s")):
+            real.cache_clear()
+            with pytest.raises(InternalConsistencyError, match="not unitriangular"):
+                convert(basis_element(source, (2, 1)), target)
+    real.cache_clear()
 
 
 def test_inverse_free_reads_never_solve_the_inverse(monkeypatch):
-    def solve(n, terms, columns):
-        raise AssertionError("the inverse was solved")
+    def row(lam):
+        raise AssertionError("a rim-hook row was computed")
 
-    monkeypatch.setattr(symfunc, "_combine", solve)
+    monkeypatch.setattr(symfunc, "_s_in_h", row)
     for d in range(7):
-        table = symfunc.KostkaTable(d)
-        monkeypatch.setattr(symfunc, "build_kostka_table", lambda d: table)
         for source, target in (("h", "s"), ("e", "s"), ("s", "m"), ("h", "m"), ("e", "m")):
-            for lam in table.partitions:
+            for lam in enumerate_partitions(d):
                 assert not convert(basis_element(source, lam), target).is_zero()
-        assert "inverse" not in vars(table)
+
+
+def test_schur_to_h_builds_no_kostka_table(monkeypatch):
+    def table(d):
+        raise AssertionError(f"the Kostka table of degree {d} was built")
+
+    monkeypatch.setattr(symfunc, "build_kostka_table", table)
+    symfunc._s_in_h.cache_clear()
+    lam = (6, 5, 4, 3, 2)
+    in_h = convert(basis_element("s", lam), "h")
+    assert len(in_h.terms) == 56 and in_h.coeff(lam) == 1
+    # m -> s and m -> h read the rows of every partition of the degree, and no table.
+    assert convert(basis_element("m", (3, 2, 1)), "s").coeff((3, 2, 1)) == 1
+    assert not convert(basis_element("m", (3, 2, 1)), "h").is_zero()
 
 
 def test_conversion_examples():

@@ -1,11 +1,15 @@
 """Every verify check can fail: corrupting the route it checks makes its line FAIL.
 
 Each case names a function that returns the ``(owner, name, corrupted
-function)`` to patch.  The test first runs the suite uncorrupted, which must
-pass and which fills every memo the suite reads, so the corrupted run cannot
-leave wrong entries in a table that later tests read.  Then it patches one
-route, runs the suite through the CLI and asserts the exact ``FAIL`` line
-and exit code 1.
+function)`` to patch.  A case of ``CASES`` corrupts a wrapper, which shows
+that a check reads its inputs.  The test first runs the suite uncorrupted,
+which must pass and which fills every memo the suite reads, so the corrupted
+run cannot leave wrong entries in a table that later tests read.  Then it
+patches one route, runs the suite through the CLI and asserts the exact
+``FAIL`` line and exit code 1.  A case of ``TABLE_MUTATIONS`` corrupts one
+table, which shows that a check shares no table with the route it checks.
+It runs on fresh memos, which it clears again after, and names every check
+that must fail.
 """
 
 import itertools
@@ -156,6 +160,56 @@ def test_corrupted_route_fails_its_check(capsys, monkeypatch, case):
     assert code == 1
     assert line in lines
     assert lines[-1] == f"FAIL {suite}: {len(lines) - 1} checks"
+
+
+def _kostka_entry():
+    """The (1^d) Kostka column, one too high at the second partition for d >= 4."""
+    real = symfunc.KostkaTable.__init__
+
+    def init(self, degree):
+        real(self, degree)
+        if degree >= 4:
+            self.columns[self.partitions[-1]][self.partitions[1]] += 1
+
+    return symfunc.KostkaTable, "__init__", init
+
+
+def _rim_hook_row():
+    """The row of s_(2,1,1), one too high at h_(3,1); rows built on it follow."""
+    real = symfunc._s_in_h
+
+    def row(lam):
+        out = real(lam)
+        return {**out, (3, 1): out.get((3, 1), 0) + 1} if lam == (2, 1, 1) else out
+
+    return symfunc, "_s_in_h", row
+
+
+# Table-level mutations: each corrupts one table, not a wrapper, and names the
+# suites that must fail at every degree from 4 up to its top degree, and pass below.
+TABLE_MUTATIONS = {
+    "kostka-entry": (_kostka_entry, 6, ("orthonormality", "kostka", "jacobi-trudi")),
+    "rim-hook-row": (_rim_hook_row, 5, ("orthonormality", "jacobi-trudi")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_MUTATIONS))
+def test_corrupted_table_fails_its_checks(monkeypatch, case):
+    mutate, d, suites = TABLE_MUTATIONS[case]
+    # Fresh memos on both sides: the mutated run builds the corrupted tables,
+    # and no later test reads them.
+    memos = (symfunc.build_kostka_table, symfunc._s_in_h)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(*mutate())
+    try:
+        for suite in suites:
+            failed = [c.name.split(":")[0] for c in verify.run_verify(suite, d) if not c.passed]
+            assert failed == [f"{suite} d={e}" for e in range(4, d + 1)]
+    finally:
+        monkeypatch.undo()
+        for memo in memos:
+            memo.cache_clear()
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
