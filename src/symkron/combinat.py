@@ -192,20 +192,15 @@ def count_partitions_inside(shape: Iterable[int]) -> int:
     return sum(ways)
 
 
-def _kostka_columns(d: int) -> Iterator[dict[tuple[int, ...], int]]:
-    """Kostka columns ``{shape: count}`` of every partition of ``d``, in canonical order."""
-    return _walk(enumerate_partitions(d), _horizontal_strips, {(): 1})
-
-
 def _walk(sizes: Iterable[tuple[int, ...]], strips, start: dict) -> Iterator[dict]:
     """The Schur expansion ``start`` after one step per entry, for each size sequence.
 
     A step of signed size ``k`` sends each shape to the ``(shape, sign)``
-    pairs of ``strips(shape, k)``, found once per walk.  A sequence reuses the
-    steps it shares with the one before, so the partitions of ``d`` in
-    canonical order cost one depth-first walk.  Only read the yielded dicts.
+    pairs of ``strips(shape, k)``, which both strip listers memoize.  A
+    sequence reuses the steps it shares with the one before, so the
+    partitions of ``d`` in canonical order cost one depth-first walk.  Only
+    read the yielded dicts.
     """
-    found: dict = {}
     chain, path = [start], []  # chain[i + 1] is chain[i] after a step of size path[i]
     for seq in sizes:
         for i, k in enumerate(seq):
@@ -215,16 +210,14 @@ def _walk(sizes: Iterable[tuple[int, ...]], strips, start: dict) -> Iterator[dic
             out: dict = {}
             for shape, c in chain[i].items():
                 if c:  # a zero sum takes no step
-                    moves = found.get((shape, k))
-                    if moves is None:
-                        moves = found[shape, k] = strips(shape, k)
-                    for outer, sign in moves:
+                    for outer, sign in strips(shape, k):
                         out[outer] = out.get(outer, 0) + sign * c
             chain.append(out)
             path.append(k)
         yield chain[len(seq)]
 
 
+@lru_cache(maxsize=None)
 def _horizontal_strips(shape: tuple[int, ...], size: int) -> tuple[tuple[tuple, int], ...]:
     """Shapes made by adding (``size > 0``) or removing a horizontal strip, each with sign 1.
 

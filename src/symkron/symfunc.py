@@ -5,13 +5,14 @@ complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
 * ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix: the columns of
-  the :class:`KostkaTable` of their degree, which one walk adding horizontal
-  strips yields, and the rows of its inverse, which :func:`_s_in_h` gives by
-  removing special rim hooks; each is asserted unitriangular, and nothing is
-  solved.  ``h -> s`` expands the columns and ``s -> h`` the rows; ``s -> m``
-  and ``m -> s`` read them transposed, since m is dual to h; ``e -> s`` and
+  the :class:`KostkaTable` of their degree, each walked by adding horizontal
+  strips when first read, and the rows of its inverse, which :func:`_s_in_h`
+  gives by removing special rim hooks; each is asserted unitriangular, and
+  nothing is solved.  ``h -> s`` expands the columns of its terms and
+  ``s -> h`` the rows; ``s -> m`` and ``m -> s`` read them transposed, since
+  m is dual to h, over every partition of the degree; ``e -> s`` and
   ``s -> e`` read h's with Schur indices conjugated, by the involution omega
-  that swaps ``h`` and ``e``;
+  that swaps ``h`` and ``e``, which conjugates only the shapes it relabels;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
   ``s -> p`` removes them from all Schur terms at once, one walk over the
@@ -31,21 +32,21 @@ conversion to or from p first scales its terms to ints by their common
 denominator and divides each output term by it once, so only that division,
 the ``1/z_rho`` of ``s -> p`` and rational input on the other paths bring
 in a ``Fraction``.  Integrality is asserted where the theory demands it.
-SymFunc values are immutable; per-degree tables are built once, and each of
-their parts is stored once complete and then only read.
+SymFunc values are immutable; per-degree tables fill one entry at a time,
+and each entry is stored once complete and then only read.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import attrgetter
 
 from .combinat import (
-    Partition, _border_strips, _check_row, _kostka_columns, _walk, class_sizes, conjugate,
+    Partition, _border_strips, _check_row, _horizontal_strips, _walk, class_sizes, conjugate,
     enumerate_partitions,
 )
 from .errors import DegreeMismatchError, InternalConsistencyError
@@ -193,30 +194,73 @@ def basis_element(basis: str, lam: Iterable[int]) -> SymFunc:
     return SymFunc(basis, lam.degree, {lam: 1})
 
 
+class _Filled(dict):
+    """A dict that fills a missing key by ``fill(key)`` on first read.
+
+    A value is stored only once it is complete, so a warm read is one dict
+    lookup and readers racing on a cold key each store an equal value.
+    """
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
 class KostkaTable:
-    """The tableau-count (Kostka) matrix of one degree.
+    """The tableau-count (Kostka) matrix of one degree, filled on demand.
 
     ``columns[mu]`` is ``h_mu`` in the s basis, an ``{partition: int}`` in
-    canonical order; callers only read it.  One strip walk yields every
-    column, and every build asserts that the matrix is unit upper triangular
-    in canonical order.  ``m`` reads the rows of the same matrix, and ``e``
-    reads it with Schur indices relabelled by ``conj``, each partition's
-    conjugate, built on first read.  :func:`_s_in_h` gives the inverse's rows.
+    canonical order; callers only read it.  A missing column is walked by
+    Pieri's rule along the parts of ``mu`` when it is first read, and
+    ``conj[lam]``, the conjugate that ``e`` reads through, is computed when
+    it is first read.  ``all_columns`` reads every column of the degree in
+    canonical order, walking the missing ones in one walk; ``m`` reads the
+    rows of that matrix, and so does :meth:`kostka`.  Each column is asserted
+    unit upper triangular in canonical order before it is stored, and its
+    entries are keyed by one object per partition.  Construction walks
+    nothing.  :func:`_s_in_h` gives the inverse's rows.
     """
 
     def __init__(self, degree: int):
-        parts = enumerate_partitions(degree)
-        rank = self.rank = {p: i for i, p in enumerate(parts)}
-        columns = {}
-        for j, column in enumerate(_kostka_columns(degree)):
-            ranked = sorted((rank[lam], k) for lam, k in column.items())
-            # A unit diagonal entry, and none after it.
-            if ranked[-1:] != [(j, 1)]:
-                raise InternalConsistencyError("tableau-count matrix is not unitriangular")
-            columns[parts[j]] = {parts[i]: k for i, k in ranked}
         self.degree = degree
-        self.partitions = parts
-        self.columns = columns
+        self.columns = _Filled(lambda mu: next(self._walk_columns((mu,))))
+        self.conj = _Filled(conjugate)
+        self._keys: dict = {}
+
+    def _walk_columns(self, mus: Sequence[Partition]) -> Iterator[dict]:
+        """The column of each of ``mus``, given in canonical order, from one walk, each checked."""
+        keys = self._keys
+        for mu, walked in zip(mus, _walk(mus, _horizontal_strips, {(): 1})):
+            entries = sorted(walked.items(), reverse=True)
+            # A unit diagonal entry, and none after it.
+            if entries[-1:] != [(mu, 1)]:
+                raise InternalConsistencyError("tableau-count matrix is not unitriangular")
+            column = {}
+            for lam, k in entries:
+                key = keys.get(lam)
+                if key is None:
+                    key = keys[lam] = tuple.__new__(Partition, lam)
+                column[key] = k
+            yield column
+
+    @cached_property
+    def partitions(self) -> tuple[Partition, ...]:
+        return enumerate_partitions(self.degree)
+
+    @cached_property
+    def all_columns(self) -> dict:
+        """Every column of the degree, in canonical order; the missing ones walked at once."""
+        columns = self.columns
+        missing = [mu for mu in self.partitions if mu not in columns]
+        for mu, column in zip(missing, self._walk_columns(missing)):
+            columns.setdefault(mu, column)
+        return {mu: columns[mu] for mu in self.partitions}
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
         lam, mu = Partition(lam), Partition(mu)
@@ -225,13 +269,7 @@ class KostkaTable:
                 raise DegreeMismatchError(
                     f"{tuple(p)} has degree {p.degree}, but the table has degree {self.degree}"
                 )
-        return self.columns[mu].get(lam, 0)
-
-    @cached_property
-    def conj(self) -> dict:
-        """Each partition's conjugate, as the same object in ``partitions``."""
-        parts = self.partitions
-        return {lam: parts[self.rank[conjugate(lam)]] for lam in parts}
+        return self.all_columns[mu].get(lam, 0)
 
 
 @lru_cache(maxsize=None)
@@ -330,10 +368,12 @@ def _convert_terms(
     """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
 
     ``SymFunc.terms`` passes straight in.  On the way into s, h and e read
-    the columns of the :class:`KostkaTable` of ``d`` and m the rim-hook rows
-    of :func:`_s_in_h`; on the way out, m reads the rows of the columns and h
-    the rim-hook rows, and e also reads ``conj``.  So s to h, m to s and m to
-    h build no table, nor does p, which reads the characters.  Sums start
+    the columns of their own terms from the :class:`KostkaTable` of ``d``,
+    and m the rim-hook rows of :func:`_s_in_h` of every partition of ``d``;
+    on the way out, m reads the rows of every column and h the rim-hook rows
+    of the s terms, and e reads ``conj`` of only the shapes it relabels.  So
+    s to h, m to s and m to h read no Kostka column, and only m as a target
+    walks every column of ``d``; p reads the characters.  Sums start
     from the int 0, so int terms stay ints on the Kostka and rim-hook
     paths.  On a p path the terms are first scaled to ints by their common
     denominator, so every sum runs on ints, and each output term is divided
@@ -366,7 +406,7 @@ def _convert_terms(
         chi = _class_function(d, mid)
         mid = characteristic_map(d, chi).terms
     elif target == "m":
-        mid = _rows(build_kostka_table(d).columns, mid)
+        mid = _rows(build_kostka_table(d).all_columns, mid)
     elif target != "s":
         if target == "e":
             conj = build_kostka_table(d).conj

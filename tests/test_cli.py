@@ -155,6 +155,24 @@ def test_schur_to_h_reads_no_table_of_the_degree():
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
+def test_h_and_e_read_only_the_kostka_columns_of_their_terms():
+    # Each walks the columns of its own terms and conjugates only its terms,
+    # so it answers at once; a walk over every column of the degree would not.
+    def convert(expr, basis):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symkron.cli", "convert", "--expr", expr, "--basis", basis],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    assert convert("e[300]", "s") == f"s[{','.join(['1'] * 300)}]\n"
+    two_rows = convert("h[300,200]", "s")
+    assert two_rows.startswith("s[500] + s[499,1] + ") and two_rows.count("s[") == 201
+    assert convert(f"s[{','.join(['2'] + ['1'] * 298)}]", "e") == "-e[300] + e[299,1]\n"
+    assert convert("h[10,8,6,4,2]", "s").count("s[") == 544
+
+
 def test_mixed_degree_sum_needs_formal_flag(capsys):
     code, _, err = run_cli(capsys, "convert", "--expr", "h[1] + h[2]", "--basis", "h")
     assert code == 2 and "degrees" in err

@@ -9,7 +9,6 @@ from symkron.combinat import (
     Partition,
     _border_strips,
     _horizontal_strips,
-    _kostka_columns,
     _walk,
     conjugate,
     count_partitions_inside,
@@ -172,7 +171,7 @@ def test_count_ssyt_positive_iff_dominated():
 def test_one_pieri_walk_gives_every_kostka_column():
     for d in range(11):
         parts = enumerate_partitions(d)
-        for mu, column in zip(parts, _kostka_columns(d)):
+        for mu, column in zip(parts, _walk(parts, _horizontal_strips, {(): 1})):
             assert column == {lam: n for lam in parts if (n := count_ssyt(lam, mu))}
 
 
@@ -212,7 +211,7 @@ def test_adding_and_removing_strips_are_inverse(strips):
 def test_removal_walk_rows_are_the_addition_walk_columns_transposed():
     for d in range(11):
         parts = enumerate_partitions(d)
-        columns = list(_kostka_columns(d))
+        columns = list(_walk(parts, _horizontal_strips, {(): 1}))
         removals = [tuple(-k for k in mu) for mu in parts]
         for lam in parts:
             row = [leaf.get((), 0) for leaf in _walk(removals, _horizontal_strips, {lam: 1})]

@@ -414,7 +414,6 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         "KostkaTable",
         "_s_in_h",
         "count_ssyt",
-        "_kostka_columns",
         "_walk",
         "_border_strips",
         "_horizontal_strips",

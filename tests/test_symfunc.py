@@ -55,7 +55,9 @@ def test_basis_element_examples():
 def test_kostka_table_small():
     table = build_kostka_table(2)
     assert table.partitions == ((2,), (1, 1))
-    # The tableau-count matrix and the rim-hook rows of its inverse at d=2.
+    # The tableau-count matrix and the rim-hook rows of its inverse at d=2,
+    # read whole first, whichever columns earlier reads filled.
+    assert list(table.all_columns) == [(2,), (1, 1)]
     assert table.columns == {(2,): {(2,): 1}, (1, 1): {(2,): 1, (1, 1): 1}}
     assert [symfunc._s_in_h(lam) for lam in table.partitions] == [{(2,): 1}, {(2,): -1, (1, 1): 1}]
     # Horizontal strips against rim hooks: rows times columns is the identity both ways.
@@ -73,24 +75,48 @@ def test_kostka_table_small():
 
 
 def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
-    kostka_columns = symfunc._kostka_columns
+    walk = symfunc._walk
     corruptions = {
         "diagonal 2": lambda col: {**col, (2, 1): 2},
         "an entry after the diagonal": lambda col: {**col, (1, 1, 1): 1},
     }
     for what, corrupt in corruptions.items():
-        monkeypatch.setattr(
-            symfunc,
-            "_kostka_columns",
-            lambda d: [
-                corrupt(col) if mu == (2, 1) else col
-                for mu, col in zip(enumerate_partitions(d), kostka_columns(d))
-            ],
-        )
-        with pytest.raises(InternalConsistencyError, match="not unitriangular"):
-            symfunc.KostkaTable(3)
+
+        def corrupted(sizes, strips, start):
+            sizes = tuple(sizes)
+            for mu, col in zip(sizes, walk(sizes, strips, start)):
+                yield corrupt(col) if mu == (2, 1) else col
+
+        monkeypatch.setattr(symfunc, "_walk", corrupted)
+        # One column read on its own, and the whole table read at once.
+        for read in (lambda t: t.columns[Partition((2, 1))], lambda t: t.all_columns):
+            with pytest.raises(InternalConsistencyError, match="not unitriangular"):
+                read(symfunc.KostkaTable(3))
     monkeypatch.undo()
     assert symfunc.KostkaTable(3).kostka((3,), (2, 1)) == 1
+
+
+def test_kostka_table_walks_only_the_columns_it_is_asked_for(monkeypatch):
+    def enumerate_all(d):
+        raise AssertionError(f"the partitions of {d} were listed")
+
+    # Opening a table walks nothing and lists nothing.
+    monkeypatch.setattr(symfunc, "_walk", None)
+    monkeypatch.setattr(symfunc, "enumerate_partitions", enumerate_all)
+    table = symfunc.KostkaTable(24)
+    assert not table.columns and not table.conj
+    monkeypatch.undo()
+    # h_(12,12) -> s reads one column of degree 24, not all 1575.
+    symfunc.build_kostka_table.cache_clear()
+    in_s = convert(basis_element("h", (12, 12)), "s")
+    assert len(in_s.terms) == 13 and in_s.coeff((12, 12)) == 1
+    assert len(build_kostka_table(24).columns) == 1
+    # omega reads the conjugates of its terms only.
+    in_e = convert(basis_element("s", (2,) + (1,) * 298), "e")
+    assert in_e.render() == "-e[300] + e[299,1]"
+    assert list(build_kostka_table(300).conj) == [(2,) + (1,) * 298]
+    assert not build_kostka_table(300).columns
+    symfunc.build_kostka_table.cache_clear()
 
 
 def test_kostka_refuses_partitions_off_the_table_degree():

@@ -17,6 +17,7 @@ import itertools
 import pytest
 
 from symkron import grouporacle, symfunc, verify
+from symkron.combinat import _horizontal_strips, enumerate_partitions
 from symkron.errors import InternalConsistencyError
 from symkron.cli import main
 
@@ -163,15 +164,19 @@ def test_corrupted_route_fails_its_check(capsys, monkeypatch, case):
 
 
 def _kostka_entry():
-    """The (1^d) Kostka column, one too high at the second partition for d >= 4."""
-    real = symfunc.KostkaTable.__init__
+    """The (1^d) Kostka column, walked one too high at the second partition for d >= 4."""
+    real = symfunc._walk
 
-    def init(self, degree):
-        real(self, degree)
-        if degree >= 4:
-            self.columns[self.partitions[-1]][self.partitions[1]] += 1
+    def walk(sizes, strips, start):
+        sizes = tuple(sizes)
+        for mu, leaf in zip(sizes, real(sizes, strips, start)):
+            d = len(mu)
+            if strips is _horizontal_strips and d >= 4 and mu == (1,) * d:
+                second = enumerate_partitions(d)[1]
+                leaf = {**leaf, second: leaf[second] + 1}
+            yield leaf
 
-    return symfunc.KostkaTable, "__init__", init
+    return symfunc, "_walk", walk
 
 
 def _rim_hook_row():
