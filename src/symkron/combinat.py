@@ -1,8 +1,10 @@
 """Integer partitions, compositions, dominance order, and strip walks.
 
 A strip walk (:func:`_walk`) adds or removes one strip per entry of a size
-sequence: horizontal strips give Kostka columns and tableau counts, and
-border strips Murnaghan-Nakayama characters.
+sequence: horizontal strips give tableau counts, and border strips
+Murnaghan-Nakayama characters.  The Kostka columns of
+:mod:`symkron.symfunc` read the same horizontal-strip lister, one part at a
+time.
 
 Conventions used across the package:
 

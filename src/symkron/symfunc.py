@@ -4,15 +4,16 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
-* ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix: the columns of
-  the :class:`KostkaTable` of their degree, each walked by adding horizontal
-  strips when first read, and the rows of its inverse, which :func:`_s_in_h`
-  gives by removing special rim hooks; each is asserted unitriangular, and
-  nothing is solved.  ``h -> s`` expands the columns of its terms and
-  ``s -> h`` the rows; ``s -> m`` and ``m -> s`` read them transposed, since
-  m is dual to h, over every partition of the degree; ``e -> s`` and
-  ``s -> e`` read h's with Schur indices conjugated, by the involution omega
-  that swaps ``h`` and ``e``, which conjugates only the shapes it relabels;
+* ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix, from two
+  mirror memos that each recurse on a smaller shape: :func:`_h_in_s` gives
+  a column by adding a horizontal strip (Pieri), and :func:`_s_in_h` a row
+  of the inverse by removing a special rim hook; each is asserted
+  unitriangular, and nothing is solved.  ``h -> s`` expands the columns of
+  its terms and ``s -> h`` the rows; ``s -> m`` and ``m -> s`` read them
+  transposed, since m is dual to h, over every partition of the degree;
+  ``e -> s`` and ``s -> e`` read h's with Schur indices conjugated, by the
+  involution omega that swaps ``h`` and ``e``, which conjugates only the
+  shapes it relabels;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
   ``s -> p`` removes them from all Schur terms at once, one walk over the
@@ -32,14 +33,14 @@ conversion to or from p first scales its terms to ints by their common
 denominator and divides each output term by it once, so only that division,
 the ``1/z_rho`` of ``s -> p`` and rational input on the other paths bring
 in a ``Fraction``.  Integrality is asserted where the theory demands it.
-SymFunc values are immutable; per-degree tables fill one entry at a time,
-and each entry is stored once complete and then only read.
+SymFunc values are immutable; the memos fill one entry at a time, and each
+entry is stored once complete and checked, and then only read.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
@@ -194,73 +195,28 @@ def basis_element(basis: str, lam: Iterable[int]) -> SymFunc:
     return SymFunc(basis, lam.degree, {lam: 1})
 
 
-class _Filled(dict):
-    """A dict that fills a missing key by ``fill(key)`` on first read.
-
-    A value is stored only once it is complete, so a warm read is one dict
-    lookup and readers racing on a cold key each store an equal value.
-    """
-
-    __slots__ = ("_fill",)
-
-    def __init__(self, fill: Callable):
-        super().__init__()
-        self._fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self._fill(key)
-        return value
-
-
 class KostkaTable:
-    """The tableau-count (Kostka) matrix of one degree, filled on demand.
+    """The tableau-count (Kostka) matrix of one degree, a read-only view of :func:`_h_in_s`.
 
-    ``columns[mu]`` is ``h_mu`` in the s basis, an ``{partition: int}`` in
-    canonical order; callers only read it.  A missing column is walked by
-    Pieri's rule along the parts of ``mu`` when it is first read, and
-    ``conj[lam]``, the conjugate that ``e`` reads through, is computed when
-    it is first read.  ``all_columns`` reads every column of the degree in
-    canonical order, walking the missing ones in one walk; ``m`` reads the
-    rows of that matrix, and so does :meth:`kostka`.  Each column is asserted
-    unit upper triangular in canonical order before it is stored, and its
-    entries are keyed by one object per partition.  Construction walks
-    nothing.  :func:`_s_in_h` gives the inverse's rows.
+    ``kostka(lam, mu)`` is the coefficient of ``s_lam`` in ``h_mu``, read
+    from the column of ``mu``, and ``columns`` maps every partition of the
+    degree, in canonical order, to its column; ``m`` reads the rows of that
+    matrix.  The columns are the memo's shared dicts, each built by Pieri's
+    rule on its prefix's column when first read and asserted unitriangular,
+    so callers only read them; the mirror memo :func:`_s_in_h` gives the
+    inverse's rows.  Construction walks and lists nothing.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.columns = _Filled(lambda mu: next(self._walk_columns((mu,))))
-        self.conj = _Filled(conjugate)
-        self._keys: dict = {}
-
-    def _walk_columns(self, mus: Sequence[Partition]) -> Iterator[dict]:
-        """The column of each of ``mus``, given in canonical order, from one walk, each checked."""
-        keys = self._keys
-        for mu, walked in zip(mus, _walk(mus, _horizontal_strips, {(): 1})):
-            entries = sorted(walked.items(), reverse=True)
-            # A unit diagonal entry, and none after it.
-            if entries[-1:] != [(mu, 1)]:
-                raise InternalConsistencyError("tableau-count matrix is not unitriangular")
-            column = {}
-            for lam, k in entries:
-                key = keys.get(lam)
-                if key is None:
-                    key = keys[lam] = tuple.__new__(Partition, lam)
-                column[key] = k
-            yield column
 
     @cached_property
     def partitions(self) -> tuple[Partition, ...]:
         return enumerate_partitions(self.degree)
 
     @cached_property
-    def all_columns(self) -> dict:
-        """Every column of the degree, in canonical order; the missing ones walked at once."""
-        columns = self.columns
-        missing = [mu for mu in self.partitions if mu not in columns]
-        for mu, column in zip(missing, self._walk_columns(missing)):
-            columns.setdefault(mu, column)
-        return {mu: columns[mu] for mu in self.partitions}
+    def columns(self) -> dict[Partition, dict[Partition, int]]:
+        return {mu: _h_in_s(mu) for mu in self.partitions}
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
         lam, mu = Partition(lam), Partition(mu)
@@ -269,7 +225,7 @@ class KostkaTable:
                 raise DegreeMismatchError(
                     f"{tuple(p)} has degree {p.degree}, but the table has degree {self.degree}"
                 )
-        return self.all_columns[mu].get(lam, 0)
+        return _h_in_s(mu).get(lam, 0)
 
 
 @lru_cache(maxsize=None)
@@ -313,6 +269,43 @@ def _expand(terms: Mapping[Partition, int | Fraction], image: Callable[..., Mapp
         for nu, x in image(lam).items():
             out[nu] = out.get(nu, 0) + c * x
     return out
+
+
+# One key object per shape, shared by every Kostka column.
+_SHAPES: dict = {}
+
+
+@lru_cache(maxsize=None)
+def _h_in_s(mu: tuple[int, ...]) -> dict[Partition, int]:
+    """``h_mu`` in s, in canonical order, by Pieri's rule (Macdonald I.5): the Kostka column of ``mu``.
+
+    ``h_mu`` is ``h_(mu[:-1])`` times ``h_(mu[-1])``, so every shape of the
+    column of ``mu[:-1]`` gains each horizontal strip of ``mu[-1]`` boxes.
+    The column must be 1 at ``s_mu`` and name nothing after ``mu``.  The
+    cached dict is shared: read it, never hand it out.
+    """
+    if not mu:
+        return {Partition(): 1}
+    out: dict = {}
+    for lam, c in _h_in_s(mu[:-1]).items():
+        for nu, sign in _horizontal_strips(lam, mu[-1]):
+            out[nu] = out.get(nu, 0) + sign * c
+    entries = sorted(out.items(), reverse=True)
+    if entries[-1:] != [(mu, 1)]:
+        raise InternalConsistencyError("tableau-count matrix is not unitriangular")
+    column = {}
+    for nu, k in entries:
+        key = _SHAPES.get(nu)
+        if key is None:
+            key = _SHAPES[nu] = tuple.__new__(Partition, nu)
+        column[key] = k
+    return column
+
+
+@lru_cache(maxsize=None)
+def _conjugate(lam: tuple[int, ...]) -> Partition:
+    """``lam``'s conjugate, for omega, which relabels the same shapes on every read."""
+    return conjugate(lam)
 
 
 @lru_cache(maxsize=None)
@@ -368,12 +361,13 @@ def _convert_terms(
     """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
 
     ``SymFunc.terms`` passes straight in.  On the way into s, h and e read
-    the columns of their own terms from the :class:`KostkaTable` of ``d``,
-    and m the rim-hook rows of :func:`_s_in_h` of every partition of ``d``;
-    on the way out, m reads the rows of every column and h the rim-hook rows
-    of the s terms, and e reads ``conj`` of only the shapes it relabels.  So
-    s to h, m to s and m to h read no Kostka column, and only m as a target
-    walks every column of ``d``; p reads the characters.  Sums start
+    the Kostka columns :func:`_h_in_s` of their own terms, and m the rim-hook
+    rows :func:`_s_in_h` of every partition of ``d``; on the way out, m reads
+    the rows of every column, from the :class:`KostkaTable` of ``d``, and h
+    the rim-hook rows of the s terms.  e relabels through :func:`_conjugate`
+    only the shapes it reads.  So s to h, m to s and m to h read no Kostka
+    column, and only m as a target reads every column of ``d``; p reads the
+    characters.  Sums start
     from the int 0, so int terms stay ints on the Kostka and rim-hook
     paths.  On a p path the terms are first scaled to ints by their common
     denominator, so every sum runs on ints, and each output term is divided
@@ -397,20 +391,18 @@ def _convert_terms(
     elif basis == "m":
         mid = _rows({lam: _s_in_h(lam) for lam in enumerate_partitions(d)}, terms)
     elif basis != "s":
-        table = build_kostka_table(d)
-        mid = _expand(terms, table.columns.__getitem__)
+        mid = _expand(terms, _h_in_s)
         if basis == "e":
-            mid = {table.conj[lam]: c for lam, c in mid.items()}
+            mid = {_conjugate(lam): c for lam, c in mid.items()}
     if target == "p":
         # ch of the integer class function: the sum of c_lam chi^lam.
         chi = _class_function(d, mid)
         mid = characteristic_map(d, chi).terms
     elif target == "m":
-        mid = _rows(build_kostka_table(d).all_columns, mid)
+        mid = _rows(build_kostka_table(d).columns, mid)
     elif target != "s":
         if target == "e":
-            conj = build_kostka_table(d).conj
-            mid = {conj[lam]: c for lam, c in mid.items()}
+            mid = {_conjugate(lam): c for lam, c in mid.items()}
         mid = _expand(mid, _s_in_h)
     if den == 1:
         return _nonzero(mid)

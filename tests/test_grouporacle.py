@@ -387,6 +387,7 @@ def test_character_table_never_reads_the_kostka_table(monkeypatch):
         raise AssertionError(f"the brute-force character table read the Kostka table at {d}")
 
     monkeypatch.setattr(symfunc, "build_kostka_table", forbidden)
+    monkeypatch.setattr(symfunc, "_h_in_s", forbidden)
     character_table.cache_clear()
     assert {d: character_table(d) for d in range(7)} == saved
 
@@ -412,6 +413,7 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         "characteristic_map",
         "build_kostka_table",
         "KostkaTable",
+        "_h_in_s",
         "_s_in_h",
         "count_ssyt",
         "_walk",

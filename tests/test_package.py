@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from symkron import symfunc
 from symkron.cli import _COMMANDS
 from symkron.contingency import contingency_matrices
 from symkron.expr import Atom, BinOp
@@ -118,8 +119,9 @@ def test_well_formed_calls_leave_argparse_help_and_locale_unloaded():
 # Each memo must be a table that some workload reads; a new one needs a reason.
 MEMOS = {
     "combinat._border_strips",
-    # A Kostka column is walked on its own when first read, so every walk
-    # would list its strips again: that listing is most of a walk's work.
+    # Every Kostka column adds strips to the shapes of its prefix's column,
+    # and columns that share shapes would list the same strips again: that
+    # listing is most of a column's work.
     "combinat._horizontal_strips",
     "combinat.class_sizes",
     "combinat.enumerate_partitions",
@@ -127,11 +129,18 @@ MEMOS = {
     "grouporacle._perm_char",
     "grouporacle.character_table",
     "kronecker._kronecker_h",
+    # omega relabels the same shapes on every e conversion; conjugating them
+    # again doubled the time of a warm Kronecker table at degree 7.
+    "symfunc._conjugate",
+    # A Kostka column is read by every h and e conversion of its shape, and
+    # each column is built on the column of its prefix.
+    "symfunc._h_in_s",
     "symfunc._s_in_h",
     "symfunc.build_kostka_table",
 }
-# The margin counts keep their states in module-level dicts.
-DICT_MEMOS = {"contingency._CLASSES", "contingency._TABLES"}
+# The margin counts keep their states in module-level dicts, and the Kostka
+# columns key their entries by one shared object per shape.
+DICT_MEMOS = {"contingency._CLASSES", "contingency._TABLES", "symfunc._SHAPES"}
 
 
 def test_memo_inventory():
@@ -160,6 +169,8 @@ def test_memo_inventory():
     }
     for name in DICT_MEMOS:
         dicts[name].clear()
+    # The shape keys fill only as columns are walked.
+    symfunc._h_in_s.cache_clear()
     sizes = {name: len(obj) for name, obj in dicts.items()}
     run_verify("all", 4)
     contingency_matrices((2, 1, 1), (3, 1))

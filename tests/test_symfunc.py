@@ -55,9 +55,8 @@ def test_basis_element_examples():
 def test_kostka_table_small():
     table = build_kostka_table(2)
     assert table.partitions == ((2,), (1, 1))
-    # The tableau-count matrix and the rim-hook rows of its inverse at d=2,
-    # read whole first, whichever columns earlier reads filled.
-    assert list(table.all_columns) == [(2,), (1, 1)]
+    # The tableau-count matrix and the rim-hook rows of its inverse at d=2.
+    assert list(table.columns) == [(2,), (1, 1)]
     assert table.columns == {(2,): {(2,): 1}, (1, 1): {(2,): 1, (1, 1): 1}}
     assert [symfunc._s_in_h(lam) for lam in table.partitions] == [{(2,): 1}, {(2,): -1, (1, 1): 1}]
     # Horizontal strips against rim hooks: rows times columns is the identity both ways.
@@ -75,24 +74,26 @@ def test_kostka_table_small():
 
 
 def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
-    walk = symfunc._walk
+    # The column of (2,1) adds a strip of 1 box to (2,): listing (2,1) twice
+    # puts 2 on its diagonal, and listing (1,1,1) puts an entry after it.
+    strips = symfunc._horizontal_strips
     corruptions = {
-        "diagonal 2": lambda col: {**col, (2, 1): 2},
-        "an entry after the diagonal": lambda col: {**col, (1, 1, 1): 1},
+        "diagonal 2": ((2, 1), 1),
+        "an entry after the diagonal": ((1, 1, 1), 1),
     }
-    for what, corrupt in corruptions.items():
-
-        def corrupted(sizes, strips, start):
-            sizes = tuple(sizes)
-            for mu, col in zip(sizes, walk(sizes, strips, start)):
-                yield corrupt(col) if mu == (2, 1) else col
-
-        monkeypatch.setattr(symfunc, "_walk", corrupted)
+    for what, extra in corruptions.items():
+        monkeypatch.setattr(
+            symfunc,
+            "_horizontal_strips",
+            lambda shape, k: strips(shape, k) + ((extra,) if (shape, k) == ((2,), 1) else ()),
+        )
         # One column read on its own, and the whole table read at once.
-        for read in (lambda t: t.columns[Partition((2, 1))], lambda t: t.all_columns):
+        for read in (lambda t: t.kostka((3,), (2, 1)), lambda t: t.columns):
+            symfunc._h_in_s.cache_clear()
             with pytest.raises(InternalConsistencyError, match="not unitriangular"):
                 read(symfunc.KostkaTable(3))
     monkeypatch.undo()
+    symfunc._h_in_s.cache_clear()
     assert symfunc.KostkaTable(3).kostka((3,), (2, 1)) == 1
 
 
@@ -101,22 +102,27 @@ def test_kostka_table_walks_only_the_columns_it_is_asked_for(monkeypatch):
         raise AssertionError(f"the partitions of {d} were listed")
 
     # Opening a table walks nothing and lists nothing.
-    monkeypatch.setattr(symfunc, "_walk", None)
+    monkeypatch.setattr(symfunc, "_h_in_s", None)
     monkeypatch.setattr(symfunc, "enumerate_partitions", enumerate_all)
-    table = symfunc.KostkaTable(24)
-    assert not table.columns and not table.conj
+    assert symfunc.KostkaTable(24).degree == 24
     monkeypatch.undo()
-    # h_(12,12) -> s reads one column of degree 24, not all 1575.
-    symfunc.build_kostka_table.cache_clear()
+    # h_(12,12) -> s memoizes the columns of the prefixes of (12,12) only, not all 1575.
+    columns, conjugates = symfunc._h_in_s, symfunc._conjugate
+    columns.cache_clear()
     in_s = convert(basis_element("h", (12, 12)), "s")
     assert len(in_s.terms) == 13 and in_s.coeff((12, 12)) == 1
-    assert len(build_kostka_table(24).columns) == 1
-    # omega reads the conjugates of its terms only.
+    assert columns.cache_info().currsize == 3
+    for prefix in ((), (12,), (12, 12)):
+        hits = columns.cache_info().hits
+        columns(prefix)
+        assert columns.cache_info().hits == hits + 1
+    # omega reads the conjugates of its terms only, and no column.
+    columns.cache_clear()
+    conjugates.cache_clear()
     in_e = convert(basis_element("s", (2,) + (1,) * 298), "e")
     assert in_e.render() == "-e[300] + e[299,1]"
-    assert list(build_kostka_table(300).conj) == [(2,) + (1,) * 298]
-    assert not build_kostka_table(300).columns
-    symfunc.build_kostka_table.cache_clear()
+    assert conjugates.cache_info().currsize == 1 and conjugates((2,) + (1,) * 298) == (299, 1)
+    assert not columns.cache_info().currsize
 
 
 def test_kostka_refuses_partitions_off_the_table_degree():
@@ -158,7 +164,11 @@ def test_schur_to_h_builds_no_kostka_table(monkeypatch):
     def table(d):
         raise AssertionError(f"the Kostka table of degree {d} was built")
 
+    def column(mu):
+        raise AssertionError(f"the Kostka column of {mu} was walked")
+
     monkeypatch.setattr(symfunc, "build_kostka_table", table)
+    monkeypatch.setattr(symfunc, "_h_in_s", column)
     symfunc._s_in_h.cache_clear()
     lam = (6, 5, 4, 3, 2)
     in_h = convert(basis_element("s", lam), "h")
@@ -274,6 +284,17 @@ def test_jacobi_trudi_duality():
     for d in range(7):
         for lam in enumerate_partitions(d):
             assert convert(jacobi_trudi(lam), "e") == jacobi_trudi_dual(lam)
+
+
+def test_kostka_columns_are_tableau_counts():
+    # The column adds strips along the parts of mu, and count_ssyt removes
+    # them from lam, the last part first; neither reads a KostkaTable.
+    for d in range(9):
+        parts = enumerate_partitions(d)
+        for mu in parts:
+            column = symfunc._h_in_s(mu)
+            for lam in parts:
+                assert column.get(lam, 0) == combinat.count_ssyt(lam, mu)
 
 
 def test_h_to_s_coefficients_are_tableau_counts():

@@ -17,7 +17,7 @@ import itertools
 import pytest
 
 from symkron import grouporacle, symfunc, verify
-from symkron.combinat import _horizontal_strips, enumerate_partitions
+from symkron.combinat import enumerate_partitions
 from symkron.errors import InternalConsistencyError
 from symkron.cli import main
 
@@ -103,7 +103,7 @@ CASES = {
     ),
     "diagonal": (
         _diagonal, "kostka", 3, 0,
-        f"FAIL {KOSTKA} [violations: [('diagonal', (2, 1)), ('h-to-s', (2, 1), (2, 1)), "
+        f"FAIL {KOSTKA} [violations: [('diagonal', (2, 1)), "
         "('character', (2, 1), (3,)), ('character', (2, 1), (1, 1, 1))]]",
     ),
     "dominance": (
@@ -164,19 +164,18 @@ def test_corrupted_route_fails_its_check(capsys, monkeypatch, case):
 
 
 def _kostka_entry():
-    """The (1^d) Kostka column, walked one too high at the second partition for d >= 4."""
-    real = symfunc._walk
+    """The (1^d) Kostka column, one too high at the second partition for d >= 4; columns built on it follow."""
+    real = symfunc._h_in_s
 
-    def walk(sizes, strips, start):
-        sizes = tuple(sizes)
-        for mu, leaf in zip(sizes, real(sizes, strips, start)):
-            d = len(mu)
-            if strips is _horizontal_strips and d >= 4 and mu == (1,) * d:
-                second = enumerate_partitions(d)[1]
-                leaf = {**leaf, second: leaf[second] + 1}
-            yield leaf
+    def column(mu):
+        out = real(mu)
+        d = len(mu)
+        if d >= 4 and mu == (1,) * d:
+            second = enumerate_partitions(d)[1]
+            out = {**out, second: out[second] + 1}
+        return out
 
-    return symfunc, "_walk", walk
+    return symfunc, "_h_in_s", column
 
 
 def _rim_hook_row():
@@ -203,7 +202,7 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
     mutate, d, suites = TABLE_MUTATIONS[case]
     # Fresh memos on both sides: the mutated run builds the corrupted tables,
     # and no later test reads them.
-    memos = (symfunc.build_kostka_table, symfunc._s_in_h)
+    memos = (symfunc.build_kostka_table, symfunc._h_in_s, symfunc._s_in_h)
     for memo in memos:
         memo.cache_clear()
     monkeypatch.setattr(*mutate())
