@@ -4,7 +4,8 @@ A strip walk (:func:`_walk`) adds or removes one strip per entry of a size
 sequence: horizontal strips give tableau counts, and border strips
 Murnaghan-Nakayama characters.  The Kostka columns of
 :mod:`symkron.symfunc` read the same horizontal-strip lister, one part at a
-time.
+time, and its Kostka rows :func:`_removal_strips`, which lists the removals
+of every size from a shape at once.
 
 Conventions used across the package:
 
@@ -234,6 +235,25 @@ def _horizontal_strips(shape: tuple[int, ...], size: int) -> tuple[tuple[tuple, 
         (tuple([r + step * a for r, a in zip(rows, moved) if r + step * a]), 1)
         for moved in _bounded_compositions(abs(size), caps)
     )
+
+
+@lru_cache(maxsize=None)
+def _removal_strips(shape: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """Shapes left by removing a horizontal strip from a nonempty ``shape``, at the strip's size.
+
+    Row ``i`` shrinks by at most its overhang over row ``i + 1``, so one
+    pass over the rows lists the strips of every size at once, where
+    :func:`_horizontal_strips` lists one size per call.
+    """
+    left = [((), 0)]  # (the rows kept so far, the boxes removed from them)
+    for r, below in zip(shape, shape[1:] + (0,)):
+        left = [
+            (nu + (r - a,) if r - a else nu, k + a) for nu, k in left for a in range(r - below + 1)
+        ]
+    out: list[list[tuple[int, ...]]] = [[] for _ in range(shape[0] + 1)]
+    for nu, k in left:
+        out[k].append(nu)
+    return out
 
 
 @lru_cache(maxsize=None)

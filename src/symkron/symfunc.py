@@ -4,21 +4,25 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
-* ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix, from two
-  mirror memos that each recurse on a smaller shape: :func:`_h_in_s` gives
-  a column by adding a horizontal strip (Pieri), and :func:`_s_in_h` a row
-  of the inverse by removing a special rim hook; each is asserted
-  unitriangular, and nothing is solved.  ``h -> s`` expands the columns of
-  its terms and ``s -> h`` the rows; ``s -> m`` and ``m -> s`` read them
-  transposed, since m is dual to h, over every partition of the degree;
-  ``e -> s`` and ``s -> e`` read h's with Schur indices conjugated, by the
-  involution omega that swaps ``h`` and ``e``, which conjugates only the
-  shapes it relabels;
+* ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix, from three
+  memos that each recurse on a smaller shape: :func:`_h_in_s` gives a
+  column by adding a horizontal strip (Pieri), :func:`_s_in_m` a row by
+  removing one, and :func:`_s_in_h` a row of the inverse by removing a
+  special rim hook; each is asserted unitriangular, and nothing is solved.
+  ``h -> s`` expands the columns of its terms, ``s -> h`` the inverse rows
+  and ``s -> m`` the rows.  Since m is dual to h, ``m -> s`` reads the
+  inverse rows transposed, and ``h -> m`` the columns transposed, over
+  every partition of the degree; ``e -> s`` and ``s -> e`` read h's with
+  Schur indices conjugated, by the involution omega that swaps ``h`` and
+  ``e``, which conjugates only the shapes it relabels;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
   ``s -> p`` removes them from all Schur terms at once, one walk over the
   cycle types reading ``sum of c_lam * chi^lam`` at the empty shape, which
   :func:`characteristic_map` sends to p.
+
+The outer product :func:`multiply` is Pieri's rule on the same walk: the s
+terms of one factor gain horizontal strips along the h terms of the other.
 
 A character is a tuple of values in canonical cycle-type order, and
 :func:`characteristic_map` (ch) sends one to the p basis; the character route
@@ -47,8 +51,8 @@ from math import factorial, lcm
 from operator import attrgetter
 
 from .combinat import (
-    Partition, _border_strips, _check_row, _horizontal_strips, _walk, class_sizes, conjugate,
-    enumerate_partitions,
+    Partition, _border_strips, _check_row, _horizontal_strips, _removal_strips, _walk, class_sizes,
+    conjugate, enumerate_partitions,
 )
 from .errors import DegreeMismatchError, InternalConsistencyError
 
@@ -200,11 +204,12 @@ class KostkaTable:
 
     ``kostka(lam, mu)`` is the coefficient of ``s_lam`` in ``h_mu``, read
     from the column of ``mu``, and ``columns`` maps every partition of the
-    degree, in canonical order, to its column; ``m`` reads the rows of that
-    matrix.  The columns are the memo's shared dicts, each built by Pieri's
-    rule on its prefix's column when first read and asserted unitriangular,
-    so callers only read them; the mirror memo :func:`_s_in_h` gives the
-    inverse's rows.  Construction walks and lists nothing.
+    degree, in canonical order, to its column; only h and e into m read
+    every column.  The columns are the memo's shared dicts, each built by
+    Pieri's rule on its prefix's column when first read and asserted
+    unitriangular, so callers only read them; the memo :func:`_s_in_m` gives
+    the rows, which s and p into m read, and :func:`_s_in_h` the inverse's
+    rows.  Construction walks and lists nothing.
     """
 
     def __init__(self, degree: int):
@@ -271,8 +276,19 @@ def _expand(terms: Mapping[Partition, int | Fraction], image: Callable[..., Mapp
     return out
 
 
-# One key object per shape, shared by every Kostka column.
+# One key object per shape, shared by every Kostka column and row.
 _SHAPES: dict = {}
+
+
+def _shared(entries: Iterable[tuple[tuple[int, ...], int]]) -> dict[Partition, int]:
+    """The ``(shape, count)`` pairs as a dict keyed by the shared object of each shape."""
+    out = {}
+    for nu, k in entries:
+        key = _SHAPES.get(nu)
+        if key is None:
+            key = _SHAPES[nu] = tuple.__new__(Partition, nu)
+        out[key] = k
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -293,13 +309,7 @@ def _h_in_s(mu: tuple[int, ...]) -> dict[Partition, int]:
     entries = sorted(out.items(), reverse=True)
     if entries[-1:] != [(mu, 1)]:
         raise InternalConsistencyError("tableau-count matrix is not unitriangular")
-    column = {}
-    for nu, k in entries:
-        key = _SHAPES.get(nu)
-        if key is None:
-            key = _SHAPES[nu] = tuple.__new__(Partition, nu)
-        column[key] = k
-    return column
+    return _shared(entries)
 
 
 @lru_cache(maxsize=None)
@@ -335,6 +345,34 @@ def _s_in_h(lam: tuple[int, ...]) -> dict[Partition, int]:
     return {tuple.__new__(Partition, mu): c for mu, c in row}
 
 
+@lru_cache(maxsize=None)
+def _s_in_m(lam: tuple[int, ...], cap: int) -> dict[Partition, int]:
+    """``s_lam`` in m over the contents with parts at most ``cap``, in canonical order: a Kostka row.
+
+    ``K[lam, mu]`` does not change when the parts of ``mu`` are reordered, so
+    the largest entries of a tableau, ``k`` of them, fill a horizontal strip
+    removed from ``lam``, and what is left is counted over parts at most
+    ``k``: every key ``(k,) + mu`` is a partition.  ``cap`` is at most
+    ``lam[0]``, which gives the whole row; a whole row must be 1 at ``m_lam``
+    and name nothing before ``lam``.  The cached dict is shared: read it,
+    never hand it out.
+    """
+    if not lam:
+        return {Partition(): 1}
+    out: dict = {}
+    strips = _removal_strips(lam)
+    for k in range(cap, 0, -1):
+        first = (k,)
+        for nu in strips[k]:
+            for mu, c in _s_in_m(nu, min(k, nu[0]) if nu else 0).items():
+                key = first + mu
+                out[key] = out.get(key, 0) + c
+    row = sorted(out.items(), reverse=True)
+    if cap == lam[0] and row[:1] != [(lam, 1)]:
+        raise InternalConsistencyError("tableau-count row is not unitriangular")
+    return _shared(row)
+
+
 def _rows(columns: Mapping, terms: Mapping[Partition, int | Fraction]) -> dict:
     """``out[mu] = sum of c_lam * columns[mu][lam]``, in canonical order; zero sums dropped."""
     out: dict = {}
@@ -362,19 +400,20 @@ def _convert_terms(
 
     ``SymFunc.terms`` passes straight in.  On the way into s, h and e read
     the Kostka columns :func:`_h_in_s` of their own terms, and m the rim-hook
-    rows :func:`_s_in_h` of every partition of ``d``; on the way out, m reads
-    the rows of every column, from the :class:`KostkaTable` of ``d``, and h
-    the rim-hook rows of the s terms.  e relabels through :func:`_conjugate`
-    only the shapes it reads.  So s to h, m to s and m to h read no Kostka
-    column, and only m as a target reads every column of ``d``; p reads the
-    characters.  Sums start
-    from the int 0, so int terms stay ints on the Kostka and rim-hook
-    paths.  On a p path the terms are first scaled to ints by their common
-    denominator, so every sum runs on ints, and each output term is divided
-    once by that denominator, if it is not 1; s -> p also divides by
-    ``z_rho`` in :func:`characteristic_map`.  Zero coefficients are skipped
-    on the way and dropped from the result, so its keys are those, in the
-    order, that a ``SymFunc`` built on it would store.
+    rows :func:`_s_in_h` of every partition of ``d``; on the way out, h reads
+    the rim-hook rows of the s terms, and m the Kostka rows :func:`_s_in_m`
+    of the s terms when the input is in s or p.  From h or e, whose s terms
+    are whole columns, m instead reads the rows of every column, from the
+    :class:`KostkaTable` of ``d``.  e relabels through :func:`_conjugate`
+    only the shapes it reads.  So s to h, s to m, m to s and m to h read no
+    Kostka column, and only h and e into m read every column of ``d``; p
+    reads the characters.  Sums start from the int 0, so int terms stay ints
+    on the Kostka and rim-hook paths.  On a p path the terms are first
+    scaled to ints by their common denominator, so every sum runs on ints,
+    and each output term is divided once by that denominator, if it is not
+    1; s -> p also divides by ``z_rho`` in :func:`characteristic_map`.  Zero
+    coefficients are skipped on the way and dropped from the result, so its
+    keys are those, in the order, that a ``SymFunc`` built on it would store.
     """
     if target == basis:
         return _nonzero(terms)
@@ -399,7 +438,10 @@ def _convert_terms(
         chi = _class_function(d, mid)
         mid = characteristic_map(d, chi).terms
     elif target == "m":
-        mid = _rows(build_kostka_table(d).columns, mid)
+        if basis in ("h", "e"):
+            mid = _rows(build_kostka_table(d).columns, mid)
+        else:
+            mid = _expand(mid, lambda lam: _s_in_m(lam, lam[0] if lam else 0))
     elif target != "s":
         if target == "e":
             mid = {_conjugate(lam): c for lam, c in mid.items()}
@@ -421,18 +463,28 @@ def convert(f: SymFunc, target: str) -> SymFunc:
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """Graded ring product, returned in the basis of ``f``.
 
-    Both factors are expanded in the h basis, where the product just
-    concatenates and sorts partition indices.
+    ``g`` is expanded in h.  If ``f`` is in h, the product concatenates and
+    sorts partition indices.  Otherwise it is Pieri's rule (Macdonald I.5):
+    ``s_lam * h_gamma`` adds horizontal strips of the sizes ``gamma`` to
+    ``lam``, so the s terms of ``f`` take one strip walk over the h terms of
+    ``g`` in canonical order, and the sum in s is converted to ``f``'s basis.
     """
-    fh = _convert_terms(f.degree, f.basis, f.terms, "h")
+    d = f.degree + g.degree
     gh = _convert_terms(g.degree, g.basis, g.terms, "h")
     acc: dict = {}
-    for lam, a in fh.items():
-        for mu, b in gh.items():
-            key = Partition(sorted(lam + mu, reverse=True))
-            acc[key] = acc.get(key, 0) + a * b
-    d = f.degree + g.degree
-    return SymFunc(f.basis, d, _convert_terms(d, "h", acc, f.basis))
+    if f.basis == "h":
+        for lam, a in f.terms.items():
+            for mu, b in gh.items():
+                key = Partition(sorted(lam + mu, reverse=True))
+                acc[key] = acc.get(key, 0) + a * b
+        return SymFunc("h", d, acc)
+    gammas = sorted(gh, reverse=True)
+    fs = _convert_terms(f.degree, f.basis, f.terms, "s")
+    for gamma, leaf in zip(gammas, _walk(gammas, _horizontal_strips, fs)):
+        b = gh[gamma]
+        for lam, a in leaf.items():
+            acc[lam] = acc.get(lam, 0) + a * b
+    return SymFunc(f.basis, d, _convert_terms(d, "s", acc, f.basis))
 
 
 def scalar_product(f: SymFunc, g: SymFunc) -> Fraction:

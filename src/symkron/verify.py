@@ -7,8 +7,8 @@ each other and reports one line per degree and identity family.  Suites:
   products against explicit orbit enumeration, including the per-orbit
   size and overlap-matrix checks.
 * ``orthonormality``: Schur elements pair to the identity matrix, rim-hook
-  rows (s in h) against Kostka columns (s in m); complete and monomial
-  elements are dual.
+  rows (s in h, special rim hooks removed) against Kostka rows (s in m,
+  horizontal strips removed); complete and monomial elements are dual.
 * ``kostka``: unit diagonal, dominance support, the complete-to-Schur
   transition against tableau counts, the brute-force character table
   against the Murnaghan-Nakayama characters, and the decomposition of

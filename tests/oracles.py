@@ -2,12 +2,16 @@
 
 Everything here is computed from definitions by exhaustive enumeration,
 independently of the package internals, so the tests can hold the two
-against each other.
+against each other.  The one exception, :func:`h_concatenation_product`, is
+the outer product's earlier route, kept through the public conversions as the
+reference for the Pieri route.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+from symkron.symfunc import SymFunc, convert
 
 
 def brute_compositions(n, d):
@@ -205,3 +209,13 @@ def expand_symfunc(f, nvars):
             value = total.get(mono, Fraction(0)) + Fraction(coeff) * c
             total[mono] = value
     return {k: v for k, v in total.items() if v}
+
+
+def h_concatenation_product(f, g):
+    """``f * g`` in ``f``'s basis: both factors in h, where the product concatenates indices."""
+    acc = {}
+    for lam, a in convert(f, "h").terms.items():
+        for mu, b in convert(g, "h").terms.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            acc[key] = acc.get(key, 0) + a * b
+    return convert(SymFunc("h", f.degree + g.degree, acc), f.basis)

@@ -9,6 +9,7 @@ from symkron.combinat import (
     Partition,
     _border_strips,
     _horizontal_strips,
+    _removal_strips,
     _walk,
     conjugate,
     count_partitions_inside,
@@ -206,6 +207,16 @@ def test_adding_and_removing_strips_are_inverse(strips):
                 assert len(added) == len(set(added))
                 for inner, sign in strips(shape, -k):
                     assert (shape, sign) in strips(inner, k) and Partition(inner).degree == d - k
+
+
+def test_one_pass_removal_lists_the_strips_of_every_size():
+    for d in range(1, 11):
+        for shape in enumerate_partitions(d):
+            by_size = _removal_strips(shape)
+            assert len(by_size) == shape[0] + 1 and by_size[0] == [shape]
+            for k in range(1, d + 1):
+                listed = by_size[k] if k <= shape[0] else []
+                assert sorted(listed) == sorted(nu for nu, _ in _horizontal_strips(shape, -k))
 
 
 def test_removal_walk_rows_are_the_addition_walk_columns_transposed():

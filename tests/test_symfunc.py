@@ -20,7 +20,7 @@ from symkron.symfunc import (
     specht_character,
 )
 
-from oracles import expand_symfunc
+from oracles import expand_symfunc, h_concatenation_product
 
 
 def test_symfunc_construction():
@@ -95,6 +95,30 @@ def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
     monkeypatch.undo()
     symfunc._h_in_s.cache_clear()
     assert symfunc.KostkaTable(3).kostka((3,), (2, 1)) == 1
+
+
+def test_kostka_rows_refuse_a_corrupted_row(monkeypatch):
+    # The row of (2,1) reads the row of (1,) for its diagonal, and the row of
+    # (2,2,1) adds 2 to each content of the whole row of (2,1): 2 at m_(1)
+    # puts 2 on the diagonal of (2,1), and m_(3) in the row of (2,1) puts
+    # (2,3) before (2,2,1).
+    real = symfunc._s_in_m
+    corruptions = {
+        "diagonal 2": ((2, 1), ((1,), 1), {(1,): 2}),
+        "an entry before the diagonal": ((2, 2, 1), ((2, 1), 2), {(3,): 1}),
+    }
+    for what, (lam, key, extra) in corruptions.items():
+        monkeypatch.setattr(
+            symfunc,
+            "_s_in_m",
+            lambda *args: {**real(*args), **extra} if args == key else real(*args),
+        )
+        real.cache_clear()
+        with pytest.raises(InternalConsistencyError, match="not unitriangular"):
+            convert(basis_element("s", lam), "m")
+    monkeypatch.undo()
+    real.cache_clear()
+    assert convert(basis_element("s", (2, 2, 1)), "m").coeff((2, 2, 1)) == 1
 
 
 def test_kostka_table_walks_only_the_columns_it_is_asked_for(monkeypatch):
@@ -176,6 +200,11 @@ def test_schur_to_h_builds_no_kostka_table(monkeypatch):
     # m -> s and m -> h read the rows of every partition of the degree, and no table.
     assert convert(basis_element("m", (3, 2, 1)), "s").coeff((3, 2, 1)) == 1
     assert not convert(basis_element("m", (3, 2, 1)), "h").is_zero()
+    # s -> m reads the Kostka rows of its terms, not the columns.
+    symfunc._s_in_m.cache_clear()
+    in_m = convert(basis_element("s", (12, 12)), "m")
+    assert len(in_m.terms) == 1380 and in_m.coeff((12, 12)) == 1
+    assert in_m.coeff((1,) * 24) == combinat.count_standard_tableaux((12, 12))
 
 
 def test_conversion_examples():
@@ -333,6 +362,17 @@ def test_multiply_examples():
     for b in BASES:
         f = basis_element(b, (2, 1))
         assert multiply(basis_element(b, ()), f) == f
+
+
+def test_pieri_products_equal_h_concatenation():
+    elements = {
+        d: [basis_element(b, lam) for b in BASES for lam in enumerate_partitions(d)]
+        for d in range(7)
+    }
+    for d1, d2 in itertools.product(range(7), repeat=2):
+        if d1 + d2 <= 6:
+            for f, g in itertools.product(elements[d1], elements[d2]):
+                assert multiply(f, g) == h_concatenation_product(f, g)
 
 
 def test_multiply_commutative_and_associative():

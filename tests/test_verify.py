@@ -189,10 +189,25 @@ def _rim_hook_row():
     return symfunc, "_s_in_h", row
 
 
+def _kostka_row():
+    """The Kostka rows of (d), one too high at (1^d) for d >= 4; rows built on them follow."""
+    real = symfunc._s_in_m
+
+    def row(lam, cap):
+        out = real(lam, cap)
+        if len(lam) == 1 and lam[0] >= 4:
+            ones = (1,) * lam[0]
+            out = {**out, ones: out[ones] + 1}
+        return out
+
+    return symfunc, "_s_in_m", row
+
+
 # Table-level mutations: each corrupts one table, not a wrapper, and names the
 # suites that must fail at every degree from 4 up to its top degree, and pass below.
 TABLE_MUTATIONS = {
-    "kostka-entry": (_kostka_entry, 6, ("orthonormality", "kostka", "jacobi-trudi")),
+    "kostka-entry": (_kostka_entry, 6, ("kostka", "jacobi-trudi")),
+    "kostka-row": (_kostka_row, 6, ("orthonormality",)),
     "rim-hook-row": (_rim_hook_row, 5, ("orthonormality", "jacobi-trudi")),
 }
 
@@ -202,7 +217,7 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
     mutate, d, suites = TABLE_MUTATIONS[case]
     # Fresh memos on both sides: the mutated run builds the corrupted tables,
     # and no later test reads them.
-    memos = (symfunc.build_kostka_table, symfunc._h_in_s, symfunc._s_in_h)
+    memos = (symfunc.build_kostka_table, symfunc._h_in_s, symfunc._s_in_h, symfunc._s_in_m)
     for memo in memos:
         memo.cache_clear()
     monkeypatch.setattr(*mutate())
