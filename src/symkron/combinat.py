@@ -238,12 +238,13 @@ def _horizontal_strips(shape: tuple[int, ...], size: int) -> tuple[tuple[tuple, 
 
 
 @lru_cache(maxsize=None)
-def _removal_strips(shape: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+def _removal_strips(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Shapes left by removing a horizontal strip from a nonempty ``shape``, at the strip's size.
 
     Row ``i`` shrinks by at most its overhang over row ``i + 1``, so one
     pass over the rows lists the strips of every size at once, where
-    :func:`_horizontal_strips` lists one size per call.
+    :func:`_horizontal_strips` lists one size per call.  The lists are
+    tuples, since every caller shares the cached value.
     """
     left = [((), 0)]  # (the rows kept so far, the boxes removed from them)
     for r, below in zip(shape, shape[1:] + (0,)):
@@ -253,7 +254,7 @@ def _removal_strips(shape: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
     out: list[list[tuple[int, ...]]] = [[] for _ in range(shape[0] + 1)]
     for nu, k in left:
         out[k].append(nu)
-    return out
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,11 @@ routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
   removing one, and :func:`_s_in_h` a row of the inverse by removing a
   special rim hook; each is asserted unitriangular, and nothing is solved.
   ``h -> s`` expands the columns of its terms, ``s -> h`` the inverse rows
-  and ``s -> m`` the rows.  Since m is dual to h, ``m -> s`` reads the
-  inverse rows transposed, and ``h -> m`` the columns transposed, over
-  every partition of the degree; ``e -> s`` and ``s -> e`` read h's with
-  Schur indices conjugated, by the involution omega that swaps ``h`` and
-  ``e``, which conjugates only the shapes it relabels;
+  and ``s -> m`` the rows, so every input reaches m by the rows of its s
+  terms.  Since m is dual to h, ``m -> s`` reads the inverse rows
+  transposed, over every partition of the degree; ``e -> s`` and ``s -> e``
+  read h's with Schur indices conjugated, by the involution omega that
+  swaps ``h`` and ``e``, which conjugates only the shapes it relabels;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
   ``s -> p`` removes them from all Schur terms at once, one walk over the
@@ -22,7 +22,8 @@ routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
   :func:`characteristic_map` sends to p.
 
 The outer product :func:`multiply` is Pieri's rule on the same walk: the s
-terms of one factor gain horizontal strips along the h terms of the other.
+terms of one factor gain horizontal strips along the h terms of the other,
+unless the first factor is in h, where indices just concatenate.
 
 A character is a tuple of values in canonical cycle-type order, and
 :func:`characteristic_map` (ch) sends one to the p basis; the character route
@@ -204,11 +205,11 @@ class KostkaTable:
 
     ``kostka(lam, mu)`` is the coefficient of ``s_lam`` in ``h_mu``, read
     from the column of ``mu``, and ``columns`` maps every partition of the
-    degree, in canonical order, to its column; only h and e into m read
-    every column.  The columns are the memo's shared dicts, each built by
-    Pieri's rule on its prefix's column when first read and asserted
-    unitriangular, so callers only read them; the memo :func:`_s_in_m` gives
-    the rows, which s and p into m read, and :func:`_s_in_h` the inverse's
+    degree, in canonical order, to its column; no conversion reads every
+    column.  The columns are the memo's shared dicts, each built by Pieri's
+    rule on its prefix's column when first read and asserted unitriangular,
+    so callers only read them; the memo :func:`_s_in_m` gives the rows,
+    which every conversion into m reads, and :func:`_s_in_h` the inverse's
     rows.  Construction walks and lists nothing.
     """
 
@@ -402,18 +403,16 @@ def _convert_terms(
     the Kostka columns :func:`_h_in_s` of their own terms, and m the rim-hook
     rows :func:`_s_in_h` of every partition of ``d``; on the way out, h reads
     the rim-hook rows of the s terms, and m the Kostka rows :func:`_s_in_m`
-    of the s terms when the input is in s or p.  From h or e, whose s terms
-    are whole columns, m instead reads the rows of every column, from the
-    :class:`KostkaTable` of ``d``.  e relabels through :func:`_conjugate`
-    only the shapes it reads.  So s to h, s to m, m to s and m to h read no
-    Kostka column, and only h and e into m read every column of ``d``; p
-    reads the characters.  Sums start from the int 0, so int terms stay ints
-    on the Kostka and rim-hook paths.  On a p path the terms are first
-    scaled to ints by their common denominator, so every sum runs on ints,
-    and each output term is divided once by that denominator, if it is not
-    1; s -> p also divides by ``z_rho`` in :func:`characteristic_map`.  Zero
-    coefficients are skipped on the way and dropped from the result, so its
-    keys are those, in the order, that a ``SymFunc`` built on it would store.
+    of the s terms.  e relabels through :func:`_conjugate` only the shapes
+    it reads.  So no conversion reads every Kostka column of ``d``, and only
+    an m input reads every rim-hook row; p reads the characters.
+    Sums start from the int 0, so int terms stay ints on the Kostka and
+    rim-hook paths.  On a p path the terms are first scaled to ints by their
+    common denominator, so every sum runs on ints, and each output term is
+    divided once by that denominator, if it is not 1; s -> p also divides by
+    ``z_rho`` in :func:`characteristic_map`.  Zero coefficients are skipped
+    on the way and dropped from the result, so its keys are those, in the
+    order, that a ``SymFunc`` built on it would store.
     """
     if target == basis:
         return _nonzero(terms)
@@ -438,10 +437,7 @@ def _convert_terms(
         chi = _class_function(d, mid)
         mid = characteristic_map(d, chi).terms
     elif target == "m":
-        if basis in ("h", "e"):
-            mid = _rows(build_kostka_table(d).columns, mid)
-        else:
-            mid = _expand(mid, lambda lam: _s_in_m(lam, lam[0] if lam else 0))
+        mid = _expand(mid, lambda lam: _s_in_m(lam, lam[0] if lam else 0))
     elif target != "s":
         if target == "e":
             mid = {_conjugate(lam): c for lam, c in mid.items()}
@@ -464,7 +460,9 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """Graded ring product, returned in the basis of ``f``.
 
     ``g`` is expanded in h.  If ``f`` is in h, the product concatenates and
-    sorts partition indices.  Otherwise it is Pieri's rule (Macdonald I.5):
+    sorts partition indices, which walks nothing: through s, every pair of h
+    elements with degrees up to 6 took ten times as long.  Otherwise it is
+    Pieri's rule (Macdonald I.5):
     ``s_lam * h_gamma`` adds horizontal strips of the sizes ``gamma`` to
     ``lam``, so the s terms of ``f`` take one strip walk over the h terms of
     ``g`` in canonical order, and the sum in s is converted to ``f``'s basis.

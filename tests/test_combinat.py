@@ -213,7 +213,7 @@ def test_one_pass_removal_lists_the_strips_of_every_size():
     for d in range(1, 11):
         for shape in enumerate_partitions(d):
             by_size = _removal_strips(shape)
-            assert len(by_size) == shape[0] + 1 and by_size[0] == [shape]
+            assert len(by_size) == shape[0] + 1 and by_size[0] == (shape,)
             for k in range(1, d + 1):
                 listed = by_size[k] if k <= shape[0] else []
                 assert sorted(listed) == sorted(nu for nu, _ in _horizontal_strips(shape, -k))

@@ -140,6 +140,9 @@ def test_kostka_table_walks_only_the_columns_it_is_asked_for(monkeypatch):
         hits = columns.cache_info().hits
         columns(prefix)
         assert columns.cache_info().hits == hits + 1
+    # h_(12,12) -> m reads the Kostka rows of those 13 shapes, and no other column.
+    in_m = convert(basis_element("h", (12, 12)), "m")
+    assert len(in_m.terms) == 1575 and columns.cache_info().currsize == 3
     # omega reads the conjugates of its terms only, and no column.
     columns.cache_clear()
     conjugates.cache_clear()
