@@ -4,17 +4,18 @@ Five classical bases are supported: monomial ``m``, elementary ``e``,
 complete ``h``, power sum ``p``, and Schur ``s``.  Every conversion is
 routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
-* ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix, from three
+* ``h``, ``m`` and ``e`` by the tableau-count (Kostka) matrix, from four
   memos that each recurse on a smaller shape: :func:`_h_in_s` gives a
   column by adding a horizontal strip (Pieri), :func:`_s_in_m` a row by
-  removing one, and :func:`_s_in_h` a row of the inverse by removing a
-  special rim hook; each is asserted unitriangular, and nothing is solved.
-  ``h -> s`` expands the columns of its terms, ``s -> h`` the inverse rows
-  and ``s -> m`` the rows, so every input reaches m by the rows of its s
-  terms.  Since m is dual to h, ``m -> s`` reads the inverse rows
-  transposed, over every partition of the degree; ``e -> s`` and ``s -> e``
-  read h's with Schur indices conjugated, by the involution omega that
-  swaps ``h`` and ``e``, which conjugates only the shapes it relabels;
+  removing one, :func:`_s_in_h` a row of the inverse by removing a special
+  rim hook and :func:`_m_in_s` a column of the inverse by adding one; each
+  is asserted unitriangular, and nothing is solved.  Each conversion
+  expands the memo of its own terms: ``h -> s`` the columns, ``m -> s`` the
+  inverse columns (m is dual to h), ``s -> h`` the inverse rows and
+  ``s -> m`` the rows, so no conversion reads every shape of its degree.
+  ``e -> s`` and ``s -> e`` read h's with Schur indices conjugated, by the
+  involution omega that swaps ``h`` and ``e``, which conjugates only the
+  shapes it relabels;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
   ``s -> p`` removes them from all Schur terms at once, one walk over the
@@ -204,13 +205,11 @@ class KostkaTable:
     """The tableau-count (Kostka) matrix of one degree, a read-only view of :func:`_h_in_s`.
 
     ``kostka(lam, mu)`` is the coefficient of ``s_lam`` in ``h_mu``, read
-    from the column of ``mu``, and ``columns`` maps every partition of the
-    degree, in canonical order, to its column; no conversion reads every
-    column.  The columns are the memo's shared dicts, each built by Pieri's
-    rule on its prefix's column when first read and asserted unitriangular,
-    so callers only read them; the memo :func:`_s_in_m` gives the rows,
-    which every conversion into m reads, and :func:`_s_in_h` the inverse's
-    rows.  Construction walks and lists nothing.
+    from the column of ``mu``, which is built by Pieri's rule on its
+    prefix's column when first read and asserted unitriangular; no
+    conversion opens a table.  The memo :func:`_s_in_m` gives the rows, and
+    :func:`_s_in_h` and :func:`_m_in_s` the inverse's rows and columns.
+    Construction walks and lists nothing.
     """
 
     def __init__(self, degree: int):
@@ -219,10 +218,6 @@ class KostkaTable:
     @cached_property
     def partitions(self) -> tuple[Partition, ...]:
         return enumerate_partitions(self.degree)
-
-    @cached_property
-    def columns(self) -> dict[Partition, dict[Partition, int]]:
-        return {mu: _h_in_s(mu) for mu in self.partitions}
 
     def kostka(self, lam: Iterable[int], mu: Iterable[int]) -> int:
         lam, mu = Partition(lam), Partition(mu)
@@ -277,7 +272,8 @@ def _expand(terms: Mapping[Partition, int | Fraction], image: Callable[..., Mapp
     return out
 
 
-# One key object per shape, shared by every Kostka column and row.
+# One key object per shape, shared by every Kostka column and row and every
+# column of the inverse.
 _SHAPES: dict = {}
 
 
@@ -347,6 +343,44 @@ def _s_in_h(lam: tuple[int, ...]) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
+def _m_in_s(mu: tuple[int, ...]) -> dict[Partition, int]:
+    """``m_mu`` in s, in canonical order: an inverse Kostka column, by :func:`_s_in_h` run backward.
+
+    m is dual to h, so ``s_lam`` has in ``m_mu`` the coefficient that ``h_mu``
+    has in ``s_lam``.  Removing a special rim hook of ``k`` boxes takes ``k``
+    out of ``mu``, so for each distinct part ``k`` every shape ``lam'`` of
+    the column of ``mu`` less one ``k`` gains each hook of ``k`` boxes whose
+    removal gives ``lam'`` back: one ending in row ``i`` that adds ``t`` rows
+    of 1 gives ``lam'[:i] + (k - b,) + (lam'[i:] each + 1) + (1,) * t``, with
+    ``b = len(lam') - i + t`` and sign ``(-1)**b``.  The column must be 1 at
+    ``s_mu`` and name nothing before ``mu``.  The cached dict is shared: read
+    it, never hand it out.
+    """
+    if not mu:
+        return {Partition(): 1}
+    out: dict = {}
+    for j, k in enumerate(mu):
+        if j and mu[j - 1] == k:
+            continue
+        for lam, c in _m_in_s(mu[:j] + mu[j + 1 :]).items():
+            n = len(lam)
+            # Row i keeps part - t = k - b boxes, at most lam'[i - 1] and more than
+            # lam'[i]; part - lam'[i] grows with i, so once a row fails, every row above does.
+            for i in range(n, -1, -1):
+                part, low = k - n + i, lam[i] + 1 if i < n else 1
+                if part < low:
+                    break
+                head, tail = lam[:i], tuple(p + 1 for p in lam[i:])
+                for t in range(max(0, part - (lam[i - 1] if i else k)), part - low + 1):
+                    key = head + (part - t,) + tail + (1,) * t
+                    out[key] = out.get(key, 0) + (-c if (n - i + t) % 2 else c)
+    column = sorted(((lam, c) for lam, c in out.items() if c), reverse=True)
+    if column[:1] != [(mu, 1)]:
+        raise InternalConsistencyError("inverse tableau-count column is not unitriangular")
+    return _shared(column)
+
+
+@lru_cache(maxsize=None)
 def _s_in_m(lam: tuple[int, ...], cap: int) -> dict[Partition, int]:
     """``s_lam`` in m over the contents with parts at most ``cap``, in canonical order: a Kostka row.
 
@@ -374,22 +408,6 @@ def _s_in_m(lam: tuple[int, ...], cap: int) -> dict[Partition, int]:
     return _shared(row)
 
 
-def _rows(columns: Mapping, terms: Mapping[Partition, int | Fraction]) -> dict:
-    """``out[mu] = sum of c_lam * columns[mu][lam]``, in canonical order; zero sums dropped."""
-    out: dict = {}
-    for mu, column in columns.items():
-        # Look up the longer side: a one-term input reads one entry per column.
-        short, other = (terms, column) if len(terms) < len(column) else (column, terms)
-        total = 0
-        for lam, x in short.items():
-            y = other.get(lam)
-            if y:
-                total += x * y
-        if total:
-            out[mu] = total
-    return out
-
-
 def _nonzero(terms: Mapping) -> dict:
     return {lam: c for lam, c in terms.items() if c}
 
@@ -400,12 +418,11 @@ def _convert_terms(
     """Re-expand degree-d ``basis`` terms in ``target``, through s, in exact arithmetic.
 
     ``SymFunc.terms`` passes straight in.  On the way into s, h and e read
-    the Kostka columns :func:`_h_in_s` of their own terms, and m the rim-hook
-    rows :func:`_s_in_h` of every partition of ``d``; on the way out, h reads
-    the rim-hook rows of the s terms, and m the Kostka rows :func:`_s_in_m`
-    of the s terms.  e relabels through :func:`_conjugate` only the shapes
-    it reads.  So no conversion reads every Kostka column of ``d``, and only
-    an m input reads every rim-hook row; p reads the characters.
+    the Kostka columns :func:`_h_in_s` of their own terms, and m the inverse
+    columns :func:`_m_in_s`; on the way out, h reads the rim-hook rows
+    :func:`_s_in_h` of the s terms, and m the Kostka rows :func:`_s_in_m`.
+    e relabels through :func:`_conjugate` only the shapes it reads.  So only
+    the p paths, which read the characters, list the partitions of ``d``.
     Sums start from the int 0, so int terms stay ints on the Kostka and
     rim-hook paths.  On a p path the terms are first scaled to ints by their
     common denominator, so every sum runs on ints, and each output term is
@@ -426,10 +443,8 @@ def _convert_terms(
         rhos = sorted(terms, reverse=True)
         mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))).__getitem__)
         mid = {lam: mid[lam] for lam in enumerate_partitions(d) if lam in mid}
-    elif basis == "m":
-        mid = _rows({lam: _s_in_h(lam) for lam in enumerate_partitions(d)}, terms)
     elif basis != "s":
-        mid = _expand(terms, _h_in_s)
+        mid = _expand(terms, _m_in_s if basis == "m" else _h_in_s)
         if basis == "e":
             mid = {_conjugate(lam): c for lam, c in mid.items()}
     if target == "p":

@@ -8,7 +8,9 @@ each other and reports one line per degree and identity family.  Suites:
   size and overlap-matrix checks.
 * ``orthonormality``: Schur elements pair to the identity matrix, rim-hook
   rows (s in h, special rim hooks removed) against Kostka rows (s in m,
-  horizontal strips removed); complete and monomial elements are dual.
+  horizontal strips removed); complete elements pair to the identity with
+  each monomial element taken to s and back, inverse Kostka columns (m in
+  s, special rim hooks added) against the Kostka rows.
 * ``kostka``: unit diagonal, dominance support, the complete-to-Schur
   transition against tableau counts, the brute-force character table
   against the Murnaghan-Nakayama characters, and the decomposition of
@@ -72,6 +74,12 @@ def suite_monoidal(d: int, seed: int):
 def suite_orthonormality(d: int, seed: int):
     for e in range(d + 1):
         bad = []
+        # m_mu -> s -> m: inverse Kostka columns (special rim hooks added)
+        # against Kostka rows (horizontal strips removed).
+        back = {
+            mu: symfunc.convert(symfunc.convert(symfunc.basis_element("m", mu), "s"), "m")
+            for mu in enumerate_partitions(e)
+        }
         for lam, mu in _pairs(e):
             expected = int(lam == mu)
             got = symfunc.scalar_product(
@@ -79,9 +87,7 @@ def suite_orthonormality(d: int, seed: int):
             )
             if got != expected:
                 bad.append(("s", tuple(lam), tuple(mu), str(got)))
-            got = symfunc.scalar_product(
-                symfunc.basis_element("h", lam), symfunc.basis_element("m", mu)
-            )
+            got = symfunc.scalar_product(symfunc.basis_element("h", lam), back[mu])
             if got != expected:
                 bad.append(("h/m", tuple(lam), tuple(mu), str(got)))
         yield f"orthonormality d={e}: <s,s> and <h,m> are identity pairings", bad

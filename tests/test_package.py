@@ -139,6 +139,10 @@ MEMOS = {
     # A Kostka column is read by every h and e conversion of its shape, and
     # each column is built on the column of its prefix.
     "symfunc._h_in_s",
+    # An inverse Kostka column is read by every conversion from m of its
+    # shape, and each column is built on the columns of its term less one
+    # part, which the columns of terms with shared parts share.
+    "symfunc._m_in_s",
     "symfunc._s_in_h",
     # A Kostka row is read by every conversion into m of its shape,
     # and each row is built on the rows of the shapes left by removing a

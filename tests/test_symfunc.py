@@ -55,22 +55,35 @@ def test_basis_element_examples():
 def test_kostka_table_small():
     table = build_kostka_table(2)
     assert table.partitions == ((2,), (1, 1))
-    # The tableau-count matrix and the rim-hook rows of its inverse at d=2.
-    assert list(table.columns) == [(2,), (1, 1)]
-    assert table.columns == {(2,): {(2,): 1}, (1, 1): {(2,): 1, (1, 1): 1}}
+    # The tableau-count matrix and its inverse at d=2: columns of both, rows of the inverse.
+    assert [symfunc._h_in_s(mu) for mu in table.partitions] == [{(2,): 1}, {(2,): 1, (1, 1): 1}]
+    assert [symfunc._m_in_s(mu) for mu in table.partitions] == [{(2,): 1, (1, 1): -1}, {(1, 1): 1}]
     assert [symfunc._s_in_h(lam) for lam in table.partitions] == [{(2,): 1}, {(2,): -1, (1, 1): 1}]
     # Horizontal strips against rim hooks: rows times columns is the identity both ways.
     for d in range(11):
         table = build_kostka_table(d)
+        columns = {mu: symfunc._h_in_s(mu) for mu in table.partitions}
         rows = {lam: symfunc._s_in_h(lam) for lam in table.partitions}
         for lam in table.partitions:
             assert table.kostka(lam, lam) == 1
-            for there, back in ((table.columns, rows), (rows, table.columns)):
+            for there, back in ((columns, rows), (rows, columns)):
                 total = {}
                 for nu, c in there[lam].items():
                     for mu, x in back[nu].items():
                         total[mu] = total.get(mu, 0) + c * x
                 assert {mu: c for mu, c in total.items() if c} == {lam: 1}
+
+
+def test_inverse_kostka_columns_are_the_rim_hook_rows_transposed():
+    # Special rim hooks added to the shapes of a smaller column, against
+    # special rim hooks removed from the shape of a row.
+    for d in range(11):
+        parts = enumerate_partitions(d)
+        for mu in parts:
+            column = symfunc._m_in_s(mu)
+            assert [lam for lam in parts if lam in column] == list(column)
+            for lam in parts:
+                assert column.get(lam, 0) == symfunc._s_in_h(lam).get(mu, 0)
 
 
 def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
@@ -87,8 +100,12 @@ def test_kostka_table_refuses_a_corrupted_column(monkeypatch):
             "_horizontal_strips",
             lambda shape, k: strips(shape, k) + ((extra,) if (shape, k) == ((2,), 1) else ()),
         )
-        # One column read on its own, and the whole table read at once.
-        for read in (lambda t: t.kostka((3,), (2, 1)), lambda t: t.columns):
+        # One entry read through the table, and every column of the degree read at once.
+        reads = (
+            lambda t: t.kostka((3,), (2, 1)),
+            lambda t: [symfunc._h_in_s(mu) for mu in t.partitions],
+        )
+        for read in reads:
             symfunc._h_in_s.cache_clear()
             with pytest.raises(InternalConsistencyError, match="not unitriangular"):
                 read(symfunc.KostkaTable(3))
@@ -152,6 +169,43 @@ def test_kostka_table_walks_only_the_columns_it_is_asked_for(monkeypatch):
     assert not columns.cache_info().currsize
 
 
+def test_inverse_kostka_columns_refuse_a_corrupted_column(monkeypatch):
+    # The column of (2,1) reads the column of (2,) for its diagonal, adding a
+    # hook of 1 box to (2,), and the column of (2,1,1) adds hooks of 2 boxes
+    # to the shapes of the column of (1,1): 2 at s_(2) puts 2 on the diagonal
+    # of (2,1), and s_(2) in the column of (1,1) puts (2,2) before (2,1,1).
+    real = symfunc._m_in_s
+    corruptions = {
+        "diagonal 2": ((2, 1), (2,), {(2,): 2}),
+        "an entry before the diagonal": ((2, 1, 1), (1, 1), {(2,): 1}),
+    }
+    for what, (mu, key, extra) in corruptions.items():
+        monkeypatch.setattr(
+            symfunc, "_m_in_s", lambda nu: {**real(nu), **extra} if nu == key else real(nu)
+        )
+        real.cache_clear()
+        with pytest.raises(InternalConsistencyError, match="not unitriangular"):
+            convert(basis_element("m", mu), "s")
+    monkeypatch.undo()
+    real.cache_clear()
+    assert convert(basis_element("m", (2, 1, 1)), "s").coeff((2, 1, 1)) == 1
+
+
+def test_monomial_to_schur_reads_one_column_per_sub_multiset_of_its_term(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError(f"read at {args}")
+
+    # m_(6,6,5,5,4,4) -> s at d=30 lists no partition of 30 and reads no
+    # rim-hook row: it memoizes the columns of the 3 * 3 * 3 sub-multisets of its parts.
+    monkeypatch.setattr(symfunc, "_s_in_h", forbidden)
+    monkeypatch.setattr(symfunc, "enumerate_partitions", forbidden)
+    monkeypatch.setattr(combinat, "enumerate_partitions", forbidden)
+    symfunc._m_in_s.cache_clear()
+    in_s = convert(basis_element("m", (6, 6, 5, 5, 4, 4)), "s")
+    assert len(in_s.terms) == 922 and in_s.coeff((6, 6, 5, 5, 4, 4)) == 1
+    assert symfunc._m_in_s.cache_info().currsize == 27
+
+
 def test_kostka_refuses_partitions_off_the_table_degree():
     table = build_kostka_table(3)
     for lam, mu in (((4,), (2, 1)), ((3,), (2, 2)), ((2,), (3,)), ((3,), ())):
@@ -169,7 +223,7 @@ def test_rim_hook_rows_refuse_a_corrupted_row(monkeypatch):
     }
     for what, row in corruptions.items():
         monkeypatch.setattr(symfunc, "_s_in_h", lambda lam: row if lam == (2,) else real(lam))
-        for source, target in (("s", "h"), ("s", "e"), ("m", "s")):
+        for source, target in (("s", "h"), ("s", "e")):
             real.cache_clear()
             with pytest.raises(InternalConsistencyError, match="not unitriangular"):
                 convert(basis_element(source, (2, 1)), target)
@@ -181,8 +235,9 @@ def test_inverse_free_reads_never_solve_the_inverse(monkeypatch):
         raise AssertionError("a rim-hook row was computed")
 
     monkeypatch.setattr(symfunc, "_s_in_h", row)
+    pairs = (("h", "s"), ("e", "s"), ("m", "s"), ("s", "m"), ("h", "m"), ("e", "m"))
     for d in range(7):
-        for source, target in (("h", "s"), ("e", "s"), ("s", "m"), ("h", "m"), ("e", "m")):
+        for source, target in pairs:
             for lam in enumerate_partitions(d):
                 assert not convert(basis_element(source, lam), target).is_zero()
 
@@ -200,7 +255,8 @@ def test_schur_to_h_builds_no_kostka_table(monkeypatch):
     lam = (6, 5, 4, 3, 2)
     in_h = convert(basis_element("s", lam), "h")
     assert len(in_h.terms) == 56 and in_h.coeff(lam) == 1
-    # m -> s and m -> h read the rows of every partition of the degree, and no table.
+    # m -> s reads the inverse Kostka column of its term, m -> h then the rows of its shapes,
+    # and neither a Kostka column nor a table.
     assert convert(basis_element("m", (3, 2, 1)), "s").coeff((3, 2, 1)) == 1
     assert not convert(basis_element("m", (3, 2, 1)), "h").is_zero()
     # s -> m reads the Kostka rows of its terms, not the columns.

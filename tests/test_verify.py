@@ -203,11 +203,26 @@ def _kostka_row():
     return symfunc, "_s_in_m", row
 
 
+def _m_column():
+    """The inverse Kostka columns of (d), one too high at s_(1^d) for d >= 4; columns built on them follow."""
+    real = symfunc._m_in_s
+
+    def column(mu):
+        out = real(mu)
+        if len(mu) == 1 and mu[0] >= 4:
+            ones = (1,) * mu[0]
+            out = {**out, ones: out[ones] + 1}
+        return out
+
+    return symfunc, "_m_in_s", column
+
+
 # Table-level mutations: each corrupts one table, not a wrapper, and names the
 # suites that must fail at every degree from 4 up to its top degree, and pass below.
 TABLE_MUTATIONS = {
     "kostka-entry": (_kostka_entry, 6, ("kostka", "jacobi-trudi")),
     "kostka-row": (_kostka_row, 6, ("orthonormality",)),
+    "m-column": (_m_column, 6, ("orthonormality",)),
     "rim-hook-row": (_rim_hook_row, 5, ("orthonormality", "jacobi-trudi")),
 }
 
@@ -217,7 +232,9 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
     mutate, d, suites = TABLE_MUTATIONS[case]
     # Fresh memos on both sides: the mutated run builds the corrupted tables,
     # and no later test reads them.
-    memos = (symfunc.build_kostka_table, symfunc._h_in_s, symfunc._s_in_h, symfunc._s_in_m)
+    memos = (
+        symfunc.build_kostka_table, symfunc._h_in_s, symfunc._m_in_s, symfunc._s_in_h, symfunc._s_in_m
+    )
     for memo in memos:
         memo.cache_clear()
     monkeypatch.setattr(*mutate())
