@@ -34,11 +34,17 @@ from .errors import DegreeMismatchError
 
 
 class Partition(tuple):
-    """Weakly decreasing tuple of positive integers."""
+    """Weakly decreasing tuple of positive integers.
+
+    A ``Partition`` is immutable and was checked when it was made, so
+    ``Partition(p)`` returns ``p`` itself when ``p`` is one.
+    """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is Partition:
+            return parts
         t = tuple(int(p) for p in parts)
         for i, p in enumerate(t):
             if p < 1:

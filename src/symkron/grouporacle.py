@@ -16,15 +16,16 @@ permutations, so it can cross-check the structural rules implemented in
 * a character is a tuple of values in canonical cycle-type order; the
   permutation characters count fixed tuples under one representative per
   class, every tuple tested at every position, in bulk on the basis packed
-  column by column into integers with a byte per tuple.  Gram-Schmidt over
+  column by column into integers with a byte per tuple, its values
+  relabelled 1..k by dropping the zero parts.  Gram-Schmidt over
   them gives the irreducible characters, whose identity column holds the
   Specht dimensions, and which check the Murnaghan-Nakayama characters of
   symfunc.  The character route to the internal product is
   :func:`permutation_character` through
   :func:`symkron.symfunc.characteristic_map`;
 * Schur functions are expanded in the h and e bases by the Jacobi-Trudi
-  determinants, summed over every permutation, which check the Kostka-table
-  conversions of symfunc.
+  determinants, summed over every permutation with no zero entry, which
+  check the Kostka-table conversions of symfunc.
 
 Permutation convention: a permutation of degree d is a tuple of 1-based
 images, composition is ``(sigma tau)(t) = sigma(tau(t))``, and the place
@@ -127,7 +128,7 @@ def act(sigma: Perm, i: IndexTuple) -> IndexTuple:
         raise DegreeMismatchError(
             f"permutation degree {len(sigma)} does not match tuple length {len(i)}"
         )
-    return tuple(i[s - 1] for s in sigma)
+    return tuple([i[s - 1] for s in sigma])
 
 
 # -- permutation module bases ------------------------------------------------
@@ -241,16 +242,16 @@ def tensor_orbit_decompose(lam: Iterable[int], mu: Iterable[int]) -> dict[Partit
 def _perm_char(lam: Composition) -> tuple[int, ...]:
     """Fixed basis tuples per cycle type, every tuple tested at every position.
 
-    Column t of the basis is packed into one int, a byte per tuple holding
-    the rank of its entry among the values that occur (at most 8 under the
-    cap, while an entry itself can exceed 255).  A tuple is fixed by ``rep``
-    when it agrees with its image ``act(rep, t)`` at every position, that is
-    when its byte is zero in the OR over t of ``column[t] ^ column[rep[t]-1]``.
+    The tuples are enumerated for ``lam`` without its zero parts, which
+    relabels the values that occur as 1..k; a word of k letters has at least
+    k! arrangements, so k is at most 8 under the cap.  Column t of the basis
+    is packed into one int, a byte per tuple holding its entry.  A tuple is
+    fixed by ``rep`` when it agrees with its image ``act(rep, t)`` at every
+    position, that is when its byte is zero in the OR over t of
+    ``column[t] ^ column[rep[t]-1]``.
     """
-    tuples = enumerate_tuples(lam)
-    # The first tuple is the sorted word, holding every value that occurs.
-    rank = {value: r for r, value in enumerate(sorted(set(tuples[0])))}
-    columns = [int.from_bytes(bytes(map(rank.__getitem__, col)), "little") for col in zip(*tuples)]
+    tuples = enumerate_tuples([p for p in lam if p])
+    columns = [int.from_bytes(bytes(col), "little") for col in zip(*tuples)]
     row = []
     for rho in enumerate_partitions(lam.degree):
         diff = 0
@@ -319,22 +320,34 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
 def _det_expansion(parts: tuple[int, ...]) -> dict[Partition, int]:
     """Signed expansion of ``det(x_{parts[i] - i + j})`` with x_0 = 1, x_{<0} = 0.
 
-    Each of the n! permutations contributes its sign on the sorted tuple of
-    positive indices, ``parts[i] - i - 1`` plus its image of ``i``, and is
-    skipped when one of them is negative; the result maps partitions to
-    integer coefficients.  Refuses more than 8! permutations before any work.
+    Every permutation that picks no zero entry x_{<0} contributes its sign on
+    the sorted tuple of positive indices, ``parts[i] - i - 1`` plus its image
+    of ``i``; the result maps partitions to integer coefficients, in
+    decreasing order.  ``parts`` is a partition, so the offsets
+    ``parts[i] - i - 1`` fall strictly down the rows, and the top rows whose
+    offset is at least -1 take any column.
+    The rows below them are walked from the last, which has the fewest
+    columns, extending a partial permutation only by columns whose index is
+    not negative; the top rows then take every arrangement of the columns
+    left.  Refuses more than 8! permutations before any work.
     """
     n = len(parts)
     _refuse_above(MAX_GROUP_ORDER, math.factorial(n), "determinant terms")
-    acc: dict[Partition, int] = {}
     base = [p - i - 1 for i, p in enumerate(parts)]
-    for perm in itertools.permutations(range(1, n + 1)):
-        idx = list(map(add, base, perm))
-        if min(idx, default=0) < 0:
-            continue
-        key = Partition(sorted((k for k in idx if k > 0), reverse=True))
-        acc[key] = acc.get(key, 0) + perm_sign(perm)
-    return {k: v for k, v in acc.items() if v}
+    free = sum(1 for b in base if b >= -1)
+    tails: list[Perm] = [()]
+    for b in reversed(base[free:]):
+        tails = [(j, *tail) for tail in tails for j in range(-b, n + 1) if j not in tail]
+    acc: dict[tuple[int, ...], int] = {}
+    for tail in tails:
+        for head in itertools.permutations(sorted(set(range(1, n + 1)).difference(tail))):
+            perm = head + tail
+            # Every index is at least 0, so the zeros sort to the end.
+            key = tuple(sorted(map(add, base, perm), reverse=True))
+            acc[key] = acc.get(key, 0) + perm_sign(perm)
+    return {
+        Partition([k for k in key if k]): v for key, v in sorted(acc.items(), reverse=True) if v
+    }
 
 
 def jacobi_trudi(lam: Iterable[int]) -> symfunc.SymFunc:

@@ -4,7 +4,9 @@ Everything here is computed from definitions by exhaustive enumeration,
 independently of the package internals, so the tests can hold the two
 against each other.  The one exception, :func:`h_concatenation_product`, is
 the outer product's earlier route, kept through the public conversions as the
-reference for the Pieri route.
+reference for the Pieri route.  :func:`det_expansion_all_permutations` is the
+Jacobi-Trudi determinant's earlier loop over all n! permutations, kept as the
+reference for the walk that skips permutations with a zero entry.
 """
 
 import itertools
@@ -219,3 +221,21 @@ def h_concatenation_product(f, g):
             key = tuple(sorted(lam + mu, reverse=True))
             acc[key] = acc.get(key, 0) + a * b
     return convert(SymFunc("h", f.degree + g.degree, acc), f.basis)
+
+
+def det_expansion_all_permutations(parts):
+    """``det(x_{parts[i] - i + j})`` with x_0 = 1, x_{<0} = 0, summed over all n! permutations.
+
+    Maps the sorted tuple of positive indices of every permutation with no
+    negative index to the sum of the signs of those permutations.
+    """
+    n = len(parts)
+    acc = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        idx = [p - i - 1 + j for i, (p, j) in enumerate(zip(parts, perm))]
+        if min(idx, default=0) < 0:
+            continue
+        sign = (-1) ** (n - len(cycle_type_of(perm)))
+        key = tuple(sorted((k for k in idx if k > 0), reverse=True))
+        acc[key] = acc.get(key, 0) + sign
+    return {k: v for k, v in acc.items() if v}

@@ -41,6 +41,16 @@ def test_partition_validation():
     assert Composition((2, 0, 1)).degree == 3
 
 
+def test_a_partition_is_not_checked_again():
+    p = Partition((3, 1))
+    assert Partition(p) is p
+    assert Partition([3, 1]) == p
+    with pytest.raises(ValueError):
+        Partition([3, 4])
+    with pytest.raises(ValueError):
+        Partition((0,))
+
+
 def test_composition_enumeration_examples():
     assert enumerate_compositions(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert enumerate_compositions(1, 5) == [(5,)]

@@ -13,6 +13,7 @@ from symkron.combinat import (
     Partition,
     centralizer_order,
     class_sizes,
+    conjugate,
     count_standard_tableaux,
     enumerate_compositions,
     enumerate_partitions,
@@ -39,7 +40,7 @@ from symkron.symfunc import (
     specht_character,
 )
 
-from oracles import brute_character_pairing, inverse_of
+from oracles import brute_character_pairing, det_expansion_all_permutations, inverse_of, multinomial
 
 
 def test_enumerate_tuples_examples():
@@ -211,6 +212,30 @@ def test_permutation_character_counts_the_fixed_tuples_one_by_one():
         assert permutation_character(lam) == fixed_tuples(lam), lam
     # Entries up to 302, more than one byte holds: the tuples are 1,302 and 302,1.
     assert permutation_character((1,) + (0,) * 300 + (1,)) == (0, 2)
+    assert permutation_character((0,) * 300 + (2, 1)) == permutation_character((2, 1))
+
+
+def test_permutation_character_enumerates_every_basis_tuple(monkeypatch):
+    # Dropping the zero parts must not shrink the brute force: every tuple of
+    # the module is still enumerated, through the module attribute.
+    real = grouporacle.enumerate_tuples
+    counted = []
+
+    def counting(lam):
+        out = real(lam)
+        counted.append(len(out))
+        return out
+
+    grouporacle._perm_char.cache_clear()
+    monkeypatch.setattr(grouporacle, "enumerate_tuples", counting)
+    try:
+        for lam in [(2, 1), (0, 3, 0, 2, 2), (1,) * 7, (0,) * 300 + (2, 1)]:
+            counted.clear()
+            permutation_character(lam)
+            assert counted == [multinomial(sum(lam), lam)]
+    finally:
+        monkeypatch.undo()
+        grouporacle._perm_char.cache_clear()
 
 
 def test_permutation_character_budget(monkeypatch):
@@ -432,3 +457,16 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         and node.value.id == "symfunc"
     }
     assert read_from_symfunc == {"SymFunc"}
+
+
+def test_determinant_walk_matches_the_loop_over_every_permutation():
+    # Pruned rows against all n! permutations: every partition of at most 8
+    # and its conjugate, and dense shapes where few or no terms are skipped.
+    shapes = [(3, 3, 3), (4, 4, 4, 4), (2,) * 8]
+    for d in range(9):
+        for lam in enumerate_partitions(d):
+            shapes += [tuple(lam), tuple(conjugate(lam))]
+    for parts in shapes:
+        expansion = grouporacle._det_expansion(parts)
+        assert expansion == det_expansion_all_permutations(parts), parts
+        assert all(type(key) is Partition for key in expansion)

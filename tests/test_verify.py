@@ -217,9 +217,24 @@ def _m_column():
     return symfunc, "_m_in_s", column
 
 
+def _jt_sign():
+    """The h_(d) term of the (d-1,1) determinant, sign flipped for d >= 4; (d-1,1) and (2,1^(d-2)) read it."""
+    real = grouporacle._det_expansion
+
+    def expansion(parts):
+        out = real(parts)
+        d = sum(parts)
+        if d >= 4 and parts == (d - 1, 1):
+            out = {**out, (d,): -out[(d,)]}
+        return out
+
+    return grouporacle, "_det_expansion", expansion
+
+
 # Table-level mutations: each corrupts one table, not a wrapper, and names the
 # suites that must fail at every degree from 4 up to its top degree, and pass below.
 TABLE_MUTATIONS = {
+    "jt-sign": (_jt_sign, 6, ("jacobi-trudi",)),
     "kostka-entry": (_kostka_entry, 6, ("kostka", "jacobi-trudi")),
     "kostka-row": (_kostka_row, 6, ("orthonormality",)),
     "m-column": (_m_column, 6, ("orthonormality",)),
@@ -233,7 +248,12 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
     # Fresh memos on both sides: the mutated run builds the corrupted tables,
     # and no later test reads them.
     memos = (
-        symfunc.build_kostka_table, symfunc._h_in_s, symfunc._m_in_s, symfunc._s_in_h, symfunc._s_in_m
+        symfunc.build_kostka_table,
+        symfunc._h_in_s,
+        symfunc._m_in_s,
+        symfunc._s_in_h,
+        symfunc._s_in_m,
+        grouporacle._det_expansion,
     )
     for memo in memos:
         memo.cache_clear()
