@@ -19,7 +19,8 @@ Conventions used across the package:
   descending, ``(d, 0, ..., 0)`` first.
 
 All values are immutable and all functions are pure; the memoized tables
-are write-once and safe to share between threads.
+are write-once and safe to share between threads.  :func:`_shared` gives
+the Kostka memos and the margin rule one shared, unchecked key per shape.
 """
 
 from __future__ import annotations
@@ -56,6 +57,20 @@ class Partition(tuple):
     @property
     def degree(self) -> int:
         return sum(self)
+
+
+_SHAPES: dict = {}  # the one key per shape of the Kostka memos and the margin-rule classes
+
+
+def _shared(entries: Iterable[tuple[tuple[int, ...], int]]) -> dict[Partition, int]:
+    """The ``(shape, count)`` pairs by shared key; shapes must be partitions, built here unchecked."""
+    out = {}
+    for nu, k in entries:
+        key = _SHAPES.get(nu)
+        if key is None:
+            key = _SHAPES[nu] = tuple.__new__(Partition, nu)
+        out[key] = k
+    return out
 
 
 class Composition(tuple):

@@ -31,6 +31,7 @@ from .combinat import (
     Partition,
     _bounded_compositions,
     _check_degrees,
+    _shared,
     count_partitions_inside,
     sort_to_partition,
 )
@@ -125,8 +126,8 @@ def decompose_permutation_tensor(lam: Iterable[int], mu: Iterable[int]) -> dict[
     taken as they are; any other input is checked and sorted once.
     """
     counts = _count(*_walk(lam, mu), classes=True)
-    # Keys are sorted tuples of positive entries, built by the count itself.
-    return {tuple.__new__(Partition, p): counts[p] for p in sorted(counts, reverse=True)}
+    # Each class is a sorted tuple of positive entries, so a partition: key it by its shape.
+    return _shared((p, counts[p]) for p in sorted(counts, reverse=True))
 
 
 def hom_dimension(lam: Iterable[int], mu: Iterable[int]) -> int:

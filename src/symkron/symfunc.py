@@ -18,9 +18,9 @@ routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
   shapes it relabels;
 * ``p <-> s`` by the Murnaghan-Nakayama rule on border strips: ``p -> s``
   adds them along each term's cycle type, from the empty shape, and
-  ``s -> p`` removes them from all Schur terms at once, one walk over the
-  cycle types reading ``sum of c_lam * chi^lam`` at the empty shape, which
-  :func:`characteristic_map` sends to p.
+  ``s -> p``, the one conversion that lists the partitions of its degree,
+  removes them from all Schur terms in one walk over the cycle types that
+  reads ``sum of c_lam * chi^lam``, which :func:`characteristic_map` sends to p.
 
 The outer product :func:`multiply` is Pieri's rule on the same walk: the s
 terms of one factor gain horizontal strips along the h terms of the other,
@@ -53,8 +53,8 @@ from math import factorial, lcm
 from operator import attrgetter
 
 from .combinat import (
-    Partition, _border_strips, _check_row, _horizontal_strips, _removal_strips, _walk, class_sizes,
-    conjugate, enumerate_partitions,
+    Partition, _border_strips, _check_row, _horizontal_strips, _removal_strips, _shared, _walk,
+    class_sizes, conjugate, enumerate_partitions,
 )
 from .errors import DegreeMismatchError, InternalConsistencyError
 
@@ -272,22 +272,6 @@ def _expand(terms: Mapping[Partition, int | Fraction], image: Callable[..., Mapp
     return out
 
 
-# One key object per shape, shared by every Kostka column and row and every
-# column of the inverse.
-_SHAPES: dict = {}
-
-
-def _shared(entries: Iterable[tuple[tuple[int, ...], int]]) -> dict[Partition, int]:
-    """The ``(shape, count)`` pairs as a dict keyed by the shared object of each shape."""
-    out = {}
-    for nu, k in entries:
-        key = _SHAPES.get(nu)
-        if key is None:
-            key = _SHAPES[nu] = tuple.__new__(Partition, nu)
-        out[key] = k
-    return out
-
-
 @lru_cache(maxsize=None)
 def _h_in_s(mu: tuple[int, ...]) -> dict[Partition, int]:
     """``h_mu`` in s, in canonical order, by Pieri's rule (Macdonald I.5): the Kostka column of ``mu``.
@@ -324,7 +308,7 @@ def _s_in_h(lam: tuple[int, ...]) -> dict[Partition, int]:
     it leaves ``lam[:i]`` and the later parts less one, and its size joins each
     h index of that shape's row (Jacobi-Trudi by its last column, Macdonald
     I.3).  The row must be 1 at ``h_lam`` and name nothing after ``lam``.  The
-    cached dict is shared: read it, never hand it out.
+    cached dict, keyed by shared shapes, is shared: read it, never hand it out.
     """
     n = len(lam)
     if not n:
@@ -339,7 +323,7 @@ def _s_in_h(lam: tuple[int, ...]) -> dict[Partition, int]:
     row = sorted(((mu, c) for mu, c in out.items() if c), reverse=True)
     if row[-1:] != [(lam, 1)]:
         raise InternalConsistencyError("inverse tableau-count row is not unitriangular")
-    return {tuple.__new__(Partition, mu): c for mu, c in row}
+    return _shared(row)
 
 
 @lru_cache(maxsize=None)
@@ -422,14 +406,14 @@ def _convert_terms(
     columns :func:`_m_in_s`; on the way out, h reads the rim-hook rows
     :func:`_s_in_h` of the s terms, and m the Kostka rows :func:`_s_in_m`.
     e relabels through :func:`_conjugate` only the shapes it reads.  So only
-    the p paths, which read the characters, list the partitions of ``d``.
-    Sums start from the int 0, so int terms stay ints on the Kostka and
-    rim-hook paths.  On a p path the terms are first scaled to ints by their
-    common denominator, so every sum runs on ints, and each output term is
-    divided once by that denominator, if it is not 1; s -> p also divides by
-    ``z_rho`` in :func:`characteristic_map`.  Zero coefficients are skipped
-    on the way and dropped from the result, so its keys are those, in the
-    order, that a ``SymFunc`` built on it would store.
+    s -> p, which reads the character at every cycle type, lists the
+    partitions of ``d``.  Sums start from the int 0, so int terms stay ints
+    on the Kostka and rim-hook paths.  On a p path the terms are first
+    scaled to ints by their common denominator, so every sum runs on ints,
+    and each output term is divided once by that denominator, if it is not
+    1; s -> p also divides by ``z_rho`` in :func:`characteristic_map`.  Zero
+    coefficients are skipped on the way and dropped from the result, so its
+    keys are those, in the order, that a ``SymFunc`` built on it would store.
     """
     if target == basis:
         return _nonzero(terms)
@@ -442,7 +426,6 @@ def _convert_terms(
     if basis == "p":
         rhos = sorted(terms, reverse=True)
         mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))).__getitem__)
-        mid = {lam: mid[lam] for lam in enumerate_partitions(d) if lam in mid}
     elif basis != "s":
         mid = _expand(terms, _m_in_s if basis == "m" else _h_in_s)
         if basis == "e":

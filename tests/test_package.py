@@ -151,8 +151,9 @@ MEMOS = {
     "symfunc.build_kostka_table",
 }
 # The margin counts keep their states in module-level dicts, and the Kostka
-# columns key their entries by one shared object per shape.
-DICT_MEMOS = {"contingency._CLASSES", "contingency._TABLES", "symfunc._SHAPES"}
+# memos and the margin-rule classes key their entries by one shared object
+# per shape, from combinat.
+DICT_MEMOS = {"combinat._SHAPES", "contingency._CLASSES", "contingency._TABLES"}
 
 
 def test_memo_inventory():

@@ -6,6 +6,7 @@ import pytest
 
 from symkron import combinat, grouporacle, symfunc
 from symkron.combinat import Partition, centralizer_order, enumerate_partitions
+from symkron.contingency import decompose_permutation_tensor
 from symkron.errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
 from symkron.grouporacle import jacobi_trudi, jacobi_trudi_dual
 from symkron.symfunc import (
@@ -348,6 +349,41 @@ def test_power_sum_conversions_never_reach_the_brute_force_characters(monkeypatc
             convert(basis_element("p", lam), "s")
             convert(basis_element("s", lam), "p")
             symfunc.specht_character(lam)
+
+
+def test_power_sum_to_schur_lists_no_partition_of_its_degree(monkeypatch):
+    def enumerate_small(d):
+        if d >= 12:
+            raise AssertionError(f"the partitions of {d} were listed")
+        return enumerate_partitions(d)
+
+    monkeypatch.setattr(symfunc, "enumerate_partitions", enumerate_small)
+    # p_(12) is the alternating sum of the hooks of 12 (Murnaghan-Nakayama).
+    in_s = convert(basis_element("p", (12, 12)), "s")
+    p12 = convert(basis_element("p", (12,)), "s")
+    assert in_s == multiply(p12, p12) and len(in_s.terms) == 90
+    hooks = {(60 - k,) + (1,) * k: (-1) ** k for k in range(60)}
+    assert convert(basis_element("p", (60,)), "s") == SymFunc("s", 60, hooks)
+
+
+def test_memo_keys_are_the_shared_shape_keys():
+    # Each shape has one key object; the empty shape at d=0 is built checked.
+    # Fresh memos: a test may have cleared the shape keys under them.
+    memos = (symfunc._h_in_s, symfunc._s_in_h, symfunc._s_in_m, symfunc._m_in_s)
+    for memo in memos:
+        memo.cache_clear()
+    for d in range(1, 7):
+        for lam, mu in itertools.product(enumerate_partitions(d), repeat=2):
+            tables = (
+                symfunc._h_in_s(mu),
+                symfunc._s_in_h(lam),
+                symfunc._s_in_m(lam, lam[0]),
+                symfunc._m_in_s(mu),
+                decompose_permutation_tensor(lam, mu),
+            )
+            for table in tables:
+                for key in table:
+                    assert key is combinat._SHAPES[key]
 
 
 def test_characteristic_map_reads_z_rho_from_the_class_sizes(monkeypatch):

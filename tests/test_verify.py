@@ -231,6 +231,19 @@ def _jt_sign():
     return grouporacle, "_det_expansion", expansion
 
 
+def _mn_sign():
+    """Every strip of 1 box removed from (n), n >= 4, sign flipped; MN characters of degree >= 4 read it."""
+    real = symfunc._border_strips
+
+    def strips(shape, size):
+        out = real(shape, size)
+        if size == -1 and len(shape) == 1 and shape[0] >= 4:
+            out = tuple((nu, -sign) for nu, sign in out)
+        return out
+
+    return symfunc, "_border_strips", strips
+
+
 # Table-level mutations: each corrupts one table, not a wrapper, and names the
 # suites that must fail at every degree from 4 up to its top degree, and pass below.
 TABLE_MUTATIONS = {
@@ -238,6 +251,7 @@ TABLE_MUTATIONS = {
     "kostka-entry": (_kostka_entry, 6, ("kostka", "jacobi-trudi")),
     "kostka-row": (_kostka_row, 6, ("orthonormality",)),
     "m-column": (_m_column, 6, ("orthonormality",)),
+    "mn-sign": (_mn_sign, 6, ("kostka",)),
     "rim-hook-row": (_rim_hook_row, 5, ("orthonormality", "jacobi-trudi")),
 }
 
