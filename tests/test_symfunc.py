@@ -358,10 +358,10 @@ def test_power_sum_to_schur_lists_no_partition_of_its_degree(monkeypatch):
         return enumerate_partitions(d)
 
     monkeypatch.setattr(symfunc, "enumerate_partitions", enumerate_small)
-    # p_(12) is the alternating sum of the hooks of 12 (Murnaghan-Nakayama).
     in_s = convert(basis_element("p", (12, 12)), "s")
     p12 = convert(basis_element("p", (12,)), "s")
     assert in_s == multiply(p12, p12) and len(in_s.terms) == 90
+    # p_(n) is the alternating sum of the hooks of n (Murnaghan-Nakayama).
     hooks = {(60 - k,) + (1,) * k: (-1) ** k for k in range(60)}
     assert convert(basis_element("p", (60,)), "s") == SymFunc("s", 60, hooks)
 
