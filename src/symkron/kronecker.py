@@ -11,16 +11,17 @@ So the margin rule sums the product in h when neither or both factors are
 in e, and in e when exactly one is.  The character route,
 ``symfunc.characteristic_map`` of pointwise products of
 ``grouporacle.permutation_character``, stays independent: each checks the
-other.
+other.  One coefficient of a Schur product is read from character rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from math import factorial
 
 from . import symfunc
-from .combinat import Partition
+from .combinat import Partition, class_sizes
 from .contingency import decompose_permutation_tensor
 from .errors import DegreeMismatchError, InternalConsistencyError
 
@@ -92,22 +93,20 @@ def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
 
 
 def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
-    """Multiplicity of the Schur function ``nu`` in ``s_lam * s_mu``.
+    """Multiplicity of the Schur function ``nu`` in ``s_lam * s_mu``, from three character rows.
 
-    Schur functions are orthonormal, so this is the coefficient of ``s_nu``
-    in the Schur expansion of the product.  It must be a nonnegative
-    integer; anything else means the implementation is inconsistent and
-    raises, never returns.
+    It is ``(1/d!) sum over rho of |C_rho| chi^lam(rho) chi^mu(rho) chi^nu(rho)`` on the
+    Murnaghan-Nakayama rows of :func:`symfunc.specht_character`, divided once and
+    exactly; anything but a nonnegative integer is an inconsistency and raises.
     """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    nu = Partition(nu)
+    lam, mu, nu = map(Partition, (lam, mu, nu))
     if not (lam.degree == mu.degree == nu.degree):
         raise DegreeMismatchError("Kronecker coefficients need three equal degrees")
-    product = kronecker(symfunc.basis_element("s", lam), symfunc.basis_element("s", mu))
-    value = product.coeff(nu)
-    if value.denominator != 1 or value < 0:
+    rows = map(symfunc.specht_character, (lam, mu, nu))
+    total = sum(z * a * b * c for z, a, b, c in zip(class_sizes(lam.degree), *rows))
+    value, rest = divmod(total, factorial(lam.degree))
+    if rest or value < 0:
         raise InternalConsistencyError(
-            f"coefficient for {tuple(lam)}, {tuple(mu)}, {tuple(nu)} came out as {value}"
+            f"coefficient for {tuple(lam)}, {tuple(mu)}, {tuple(nu)} came out as {total}/d!"
         )
     return value

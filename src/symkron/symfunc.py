@@ -206,10 +206,10 @@ class KostkaTable:
 
     ``kostka(lam, mu)`` is the coefficient of ``s_lam`` in ``h_mu``, read
     from the column of ``mu``, which is built by Pieri's rule on its
-    prefix's column when first read and asserted unitriangular; no
-    conversion opens a table.  The memo :func:`_s_in_m` gives the rows, and
-    :func:`_s_in_h` and :func:`_m_in_s` the inverse's rows and columns.
-    Construction walks and lists nothing.
+    prefix's column when first read and asserted unitriangular; nothing
+    in the package opens a table.  The memo :func:`_s_in_m` gives the
+    rows, and :func:`_s_in_h` and :func:`_m_in_s` the inverse's rows and
+    columns.  Construction walks and lists nothing.
     """
 
     def __init__(self, degree: int):

@@ -6,7 +6,7 @@ import pytest
 
 try:
     from hypothesis import given, settings, strategies as st
-except ImportError:  # only the rational-combination property below needs it
+except ImportError:  # only the properties below need it
     given = None
 
 from symkron import symfunc
@@ -221,6 +221,37 @@ def test_kronecker_coefficients_match_character_route():
             product = tuple(a * b for a, b in zip(specht_character(lam), specht_character(mu)))
             via_characters = character_scalar_product(d, product, specht_character(nu))
             assert kronecker_coefficient(lam, mu, nu) == via_characters
+
+
+def test_kronecker_coefficients_match_margin_rule():
+    # Character rows against the margin rule, which reads no character.
+    for d in range(8):
+        parts = enumerate_partitions(d)
+        for lam, mu in itertools.product(parts, repeat=2):
+            product = kronecker(basis_element("s", lam), basis_element("s", mu))
+            for nu in parts:
+                assert kronecker_coefficient(lam, mu, nu) == product.coeff(nu)
+
+
+if given is not None:
+
+    _triples = st.integers(min_value=0, max_value=12).flatmap(
+        lambda d: st.tuples(*[st.sampled_from(enumerate_partitions(d))] * 3)
+    )
+
+    @settings(deadline=None, max_examples=100)
+    @given(_triples)
+    def test_kronecker_coefficient_properties(triple):
+        lam, mu, nu = triple
+        value = kronecker_coefficient(lam, mu, nu)
+        assert type(value) is int and value >= 0
+        assert kronecker_coefficient(mu, lam, nu) == kronecker_coefficient(nu, mu, lam) == value
+        trivial = enumerate_partitions(lam.degree)[0]  # (d), or () at d=0
+        assert kronecker_coefficient(lam, mu, trivial) == int(lam == mu)
+        assert kronecker_coefficient(conjugate(lam), conjugate(mu), nu) == value
+        assert kronecker_coefficient(conjugate(lam), mu, nu) == kronecker_coefficient(
+            lam, mu, conjugate(nu)
+        )
 
 
 def test_kronecker_coefficient_full_symmetry():

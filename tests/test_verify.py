@@ -12,14 +12,18 @@ It runs on fresh memos, which it clears again after, and names every check
 that must fail.
 """
 
+import importlib
 import itertools
 
 import pytest
 
-from symkron import grouporacle, symfunc, verify
+from symkron import contingency, grouporacle, symfunc, verify
 from symkron.combinat import enumerate_partitions
 from symkron.errors import InternalConsistencyError
 from symkron.cli import main
+
+# The package re-exports the function ``kronecker`` under the submodule's name.
+kronecker_module = importlib.import_module("symkron.kronecker")
 
 
 def _bump(owner, name, when):
@@ -39,19 +43,16 @@ def _pairing(basis):
     return _bump(symfunc, "scalar_product", when)
 
 
-def _diagonal():
-    return _bump(symfunc.KostkaTable, "kostka", lambda self, lam, mu: lam == mu == (2, 1))
-
-
 def _dominance():
     real = verify.dominance_leq
     flipped = ((1, 1, 1), (3,))
     return verify, "dominance_leq", lambda mu, lam: real(mu, lam) != ((mu, lam) == flipped)
 
 
-def _h_to_s():
+def _h_column(shape):
+    """The Kostka column of (2, 1), ``h_(2,1)`` in s, one too high at ``s_shape``."""
     real = symfunc.convert
-    extra = symfunc.basis_element("s", (1, 1, 1))
+    extra = symfunc.basis_element("s", shape)
 
     def broken(f, target):
         out = real(f, target)
@@ -102,8 +103,8 @@ CASES = {
         f"FAIL {ORTHONORMALITY} [violations: [('h/m', (2,), (2,), '2')]]",
     ),
     "diagonal": (
-        _diagonal, "kostka", 3, 0,
-        f"FAIL {KOSTKA} [violations: [('diagonal', (2, 1)), "
+        lambda: _h_column((2, 1)), "kostka", 3, 0,
+        f"FAIL {KOSTKA} [violations: [('diagonal', (2, 1)), ('h-to-s', (2, 1), (2, 1)), "
         "('character', (2, 1), (3,)), ('character', (2, 1), (1, 1, 1))]]",
     ),
     "dominance": (
@@ -111,8 +112,10 @@ CASES = {
         f"FAIL {KOSTKA} [violations: [('dominance', (3,), (1, 1, 1))]]",
     ),
     "h-to-s": (
-        _h_to_s, "kostka", 3, 0,
-        f"FAIL {KOSTKA} [violations: [('h-to-s', (2, 1), (1, 1, 1))]]",
+        lambda: _h_column((1, 1, 1)), "kostka", 3, 0,
+        f"FAIL {KOSTKA} [violations: [('dominance', (1, 1, 1), (2, 1)), "
+        "('h-to-s', (2, 1), (1, 1, 1)), ('character', (2, 1), (3,)), "
+        "('character', (2, 1), (2, 1)), ('character', (2, 1), (1, 1, 1))]]",
     ),
     "permutation-character": (
         lambda: _permutation_character((2, 1), (1, 1, 3)), "kostka", 3, 0,
@@ -244,6 +247,27 @@ def _mn_sign():
     return symfunc, "_border_strips", strips
 
 
+def _omega():
+    """Omega relabels s_(3,1) as s_(2,2); only conversions of degree 4 into or out of e read it."""
+    real = symfunc._conjugate
+    return symfunc, "_conjugate", lambda lam: (2, 2) if lam == (3, 1) else real(lam)
+
+
+def _margin_class():
+    """The first class of every margin state with rows (1, 1, 1, 1), one too high; walks of 1^d read them."""
+    real = contingency._merge
+
+    def merge(kids, memo):
+        out = real(kids, memo)
+        row, (rest, _) = kids[0]
+        if (sum(row),) + rest == (1, 1, 1, 1):
+            first = next(iter(out))
+            out = {**out, first: out[first] + 1}
+        return out
+
+    return contingency, "_merge", merge
+
+
 # Table-level mutations: each corrupts one table, not a wrapper, and names the
 # suites that must fail at every degree from 4 up to its top degree, and pass below.
 TABLE_MUTATIONS = {
@@ -251,7 +275,9 @@ TABLE_MUTATIONS = {
     "kostka-entry": (_kostka_entry, 6, ("kostka", "jacobi-trudi")),
     "kostka-row": (_kostka_row, 6, ("orthonormality",)),
     "m-column": (_m_column, 6, ("orthonormality",)),
+    "margin-class": (_margin_class, 5, ("monoidal",)),
     "mn-sign": (_mn_sign, 6, ("kostka",)),
+    "omega": (_omega, 4, ("jacobi-trudi",)),
     "rim-hook-row": (_rim_hook_row, 5, ("orthonormality", "jacobi-trudi")),
 }
 
@@ -261,16 +287,17 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
     mutate, d, suites = TABLE_MUTATIONS[case]
     # Fresh memos on both sides: the mutated run builds the corrupted tables,
     # and no later test reads them.
-    memos = (
-        symfunc.build_kostka_table,
-        symfunc._h_in_s,
-        symfunc._m_in_s,
-        symfunc._s_in_h,
-        symfunc._s_in_m,
-        grouporacle._det_expansion,
+    clears = (
+        symfunc._h_in_s.cache_clear,
+        symfunc._m_in_s.cache_clear,
+        symfunc._s_in_h.cache_clear,
+        symfunc._s_in_m.cache_clear,
+        grouporacle._det_expansion.cache_clear,
+        contingency._CLASSES.clear,
+        kronecker_module._kronecker_h.cache_clear,
     )
-    for memo in memos:
-        memo.cache_clear()
+    for clear in clears:
+        clear()
     monkeypatch.setattr(*mutate())
     try:
         for suite in suites:
@@ -278,8 +305,8 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
             assert failed == [f"{suite} d={e}" for e in range(4, d + 1)]
     finally:
         monkeypatch.undo()
-        for memo in memos:
-            memo.cache_clear()
+        for clear in clears:
+            clear()
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
