@@ -96,7 +96,6 @@ def suite_orthonormality(d: int, seed: int):
 def suite_kostka(d: int, seed: int):
     for e in range(d + 1):
         parts = enumerate_partitions(e)
-        # The Kostka column of mu is h_mu in s; every check below reads these.
         columns = {mu: symfunc.convert(symfunc.basis_element("h", mu), "s") for mu in parts}
         bad = []
         for lam in parts:

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -10,9 +11,9 @@ except ImportError:  # only the properties below need it
     given = None
 
 from symkron import symfunc
-from symkron.combinat import centralizer_order, conjugate, enumerate_partitions
+from symkron.combinat import Partition, centralizer_order, conjugate, enumerate_partitions
 from symkron.contingency import decompose_permutation_tensor
-from symkron.errors import DegreeMismatchError
+from symkron.errors import BudgetExceededError, DegreeMismatchError
 from symkron.grouporacle import character_scalar_product, permutation_character
 from symkron.kronecker import kronecker, kronecker_coefficient, kronecker_h
 from symkron.symfunc import (
@@ -223,8 +224,12 @@ def test_kronecker_coefficients_match_character_route():
             assert kronecker_coefficient(lam, mu, nu) == via_characters
 
 
-def test_kronecker_coefficients_match_margin_rule():
-    # Character rows against the margin rule, which reads no character.
+@pytest.mark.parametrize("tail", [-1, 14])
+def test_kronecker_coefficients_match_margin_rule(monkeypatch, tail):
+    # Each route against kronecker(s_lam, s_mu): a tail of -1 sends every triple to the
+    # character rows, which read no margin matrix, and 14 = 2 * 7 sends every one to the
+    # margin rule with both factors in h.
+    monkeypatch.setattr(kronecker_module, "_MAX_MARGIN_TAIL", tail)
     for d in range(8):
         parts = enumerate_partitions(d)
         for lam, mu in itertools.product(parts, repeat=2):
@@ -233,25 +238,31 @@ def test_kronecker_coefficients_match_margin_rule():
                 assert kronecker_coefficient(lam, mu, nu) == product.coeff(nu)
 
 
-if given is not None:
+def test_kronecker_coefficient_routes_agree_on_long_first_rows(monkeypatch):
+    # At most 8 cells lie below each first row here, so every triple takes the margin rule
+    # by default; each is read on the character rows too.
+    tails = [(), (2,), (1, 1), (3, 1), (2, 2, 1), (1,) * 5, (4, 3, 1)]
+    shapes = [Partition((20 - sum(t),) + t) for t in tails]
+    triples = list(itertools.combinations_with_replacement(shapes, 3))
+    by_margins = [kronecker_coefficient(*triple) for triple in triples]
+    monkeypatch.setattr(kronecker_module, "_MAX_MARGIN_TAIL", -1)
+    assert [kronecker_coefficient(*triple) for triple in triples] == by_margins
 
-    _triples = st.integers(min_value=0, max_value=12).flatmap(
-        lambda d: st.tuples(*[st.sampled_from(enumerate_partitions(d))] * 3)
-    )
 
-    @settings(deadline=None, max_examples=100)
-    @given(_triples)
-    def test_kronecker_coefficient_properties(triple):
-        lam, mu, nu = triple
-        value = kronecker_coefficient(lam, mu, nu)
-        assert type(value) is int and value >= 0
-        assert kronecker_coefficient(mu, lam, nu) == kronecker_coefficient(nu, mu, lam) == value
-        trivial = enumerate_partitions(lam.degree)[0]  # (d), or () at d=0
-        assert kronecker_coefficient(lam, mu, trivial) == int(lam == mu)
-        assert kronecker_coefficient(conjugate(lam), conjugate(mu), nu) == value
-        assert kronecker_coefficient(conjugate(lam), mu, nu) == kronecker_coefficient(
-            lam, mu, conjugate(nu)
-        )
+def test_kronecker_coefficient_at_large_degree_reads_no_character(monkeypatch):
+    # Long first rows take the margin rule at any degree, which lists no cycle type.
+    def refuse(*args):
+        raise AssertionError("a character row was read")
+
+    monkeypatch.setattr(symfunc, "specht_character", refuse)
+    assert kronecker_coefficient((60,), (60,), (60,)) == 1
+    assert kronecker_coefficient((59, 1), (59, 1), (58, 2)) == 1
+    assert kronecker_coefficient((1,) * 60, (59, 1), (60,)) == 0  # the tall shape is not a factor
+    assert kronecker_coefficient((57, 2, 1), (58, 2), (57, 3)) == 2
+    assert kronecker_coefficient((992, 4, 4), (992, 8), (992, 7, 1)) == 8
+    # Too many cells below the first rows, and too many cycle types: refused before any work.
+    with pytest.raises(BudgetExceededError):
+        kronecker_coefficient((14, 14, 13), (14, 14, 13), (14, 14, 13))
 
 
 def test_kronecker_coefficient_full_symmetry():
