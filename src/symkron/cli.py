@@ -5,7 +5,8 @@ budget exceeded or an input too deep for Python's recursion limit (a deeply
 nested expression).  Every command accepts ``--format text|json``.  The
 budgets are the module constants ``grouporacle.MAX_ORBIT_PAIRS``,
 ``grouporacle.MAX_GROUP_ORDER``, ``contingency.MAX_LISTED_MATRICES``,
-``contingency.MAX_MARGIN_STATES`` and ``verify.MAX_VERIFY_DEGREE``.
+``contingency.MAX_MARGIN_STATES``, ``verify.MAX_VERIFY_DEGREE`` and the 8!
+caps of ``combinat`` on listing partitions and compositions.
 
 Every argument list is read by ``_read_args`` from the ``_COMMANDS`` table.
 Flags are spelled in full (no abbreviation, ``--flag=value`` or ``--``), and

@@ -31,7 +31,11 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import DegreeMismatchError
+from .errors import BudgetExceededError, DegreeMismatchError
+
+# The same 8! as the other listing caps; p(40) = 37338 <= 8! < p(41) = 44583.
+_MAX_LISTED = math.factorial(8)
+_MAX_PARTITION_DEGREE = 40
 
 
 class Partition(tuple):
@@ -108,9 +112,12 @@ def _check_degrees(lam: Iterable[int], mu: Iterable[int]) -> tuple[Composition, 
 
 
 def enumerate_compositions(n: int, d: int) -> list[Composition]:
-    """All compositions of ``d`` into ``n`` ordered parts, lex descending."""
+    """All compositions of ``d`` into ``n`` ordered parts, lex descending; over 8! are refused."""
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
+    count = math.comb(d + n - 1, n - 1) if n else 0
+    if count > _MAX_LISTED:
+        raise BudgetExceededError(f"{count} compositions exceed the listing cap of {_MAX_LISTED}")
     return [Composition(c) for c in _bounded_compositions(d, (d,) * n)]
 
 
@@ -144,9 +151,11 @@ def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[i
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(d: int) -> tuple[Partition, ...]:
-    """All partitions of ``d`` in reverse lexicographic order."""
+    """All partitions of ``d`` in reverse lexicographic order; refused above degree 40 (over 8!)."""
     if d < 0:
         raise ValueError("d must be nonnegative")
+    if d > _MAX_PARTITION_DEGREE:
+        raise BudgetExceededError(f"the partitions of {d} exceed the listing cap of {_MAX_LISTED}")
 
     def gen(rem: int, cap: int) -> Iterator[tuple[int, ...]]:
         if rem == 0:

@@ -3,15 +3,15 @@
 On complete symmetric functions the product is structural: the product of
 ``h_lam`` and ``h_mu`` is the sum of ``h`` terms over the margin-matrix
 decomposition of the corresponding permutation-module tensor product.  A
-factor given in h or e is used as it is; any other is expanded in h or in e,
-whichever has fewer terms, by the rim-hook rows of ``symfunc._s_in_h``.  The
-e expansion of ``f`` carries the h coefficients of ``omega(f)``, and since
-``s_(1^d)`` acts as omega, ``omega(f) * g = omega(f * g) = f * omega(g)``.
-So the margin rule sums the product in h when neither or both factors are
-in e, and in e when exactly one is.  The character route,
-``symfunc.characteristic_map`` of pointwise products of
-``grouporacle.permutation_character``, stays independent: each checks the
-other.  One Schur coefficient is read by the margin rule or character rows.
+factor given in h or e is used as it is; any other is converted to s once and
+expanded by the rim-hook rows of ``symfunc._s_in_h`` in e if its s terms have
+more rows than columns in total, else in h.  The e expansion of ``f`` carries
+the h coefficients of ``omega(f)``, and since ``s_(1^d)`` acts as omega,
+``omega(f) * g = omega(f * g) = f * omega(g)``.  So the margin rule sums the
+product in h when neither or both factors are in e, and in e when exactly one
+is.  The character route, ``symfunc.characteristic_map`` of pointwise
+products of ``grouporacle.permutation_character``, stays independent: each
+checks the other.  One Schur coefficient is read by the margin rule or character rows.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from math import factorial
 from . import symfunc
 from .combinat import Partition, class_sizes
 from .contingency import decompose_permutation_tensor
-from .errors import BudgetExceededError, DegreeMismatchError, InternalConsistencyError
+from .errors import DegreeMismatchError, InternalConsistencyError
 
 # Cells below the two longest first rows up to which a coefficient takes the margin rule:
 # its cost is flat in the degree, at most about 0.2 s at 16 (2-vCPU VM, Python 3.11).
 _MAX_MARGIN_TAIL = 16
-# Character rows walk all p(d) cycle types; p(40) = 37338 is the last within 8!, about 3 s.
-_MAX_CHARACTER_DEGREE = 40
 
 
 @lru_cache(maxsize=None)
@@ -54,39 +52,36 @@ def kronecker_h(lam: Iterable[int], mu: Iterable[int]) -> symfunc.SymFunc:
     return symfunc.SymFunc("h", lam.degree, pieces)
 
 
-def _shorter_expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
+def _expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
     """``f`` in h or in e, and whether e was taken; a factor in either is taken as given.
 
-    Any other is converted to s once, so a p factor walks its characters
-    once; its h and e expansions read the rim-hook rows of its s terms, and
-    the shorter is kept (h on a tie).
+    Any other is converted to s once, so a p factor walks its characters once.
+    ``s_lam`` has at most ``len(lam)!`` terms in h and ``lam[0]!`` in e (Macdonald
+    I.3), so only the side with fewer rows in total over the s terms is built (h on a tie).
     """
     if f.basis in ("h", "e"):
         return f.terms, f.basis == "e"
     terms = symfunc._convert_terms(f.degree, f.basis, f.terms, "s")
-    fh = symfunc._convert_terms(f.degree, "s", terms, "h")
-    if len(fh) <= 1:
-        return fh, False
-    fe = symfunc._convert_terms(f.degree, "s", terms, "e")
-    return (fe, True) if len(fe) < len(fh) else (fh, False)
+    flip = sum(map(len, terms)) > sum(lam[0] for lam in terms if lam)
+    return symfunc._convert_terms(f.degree, "s", terms, "e" if flip else "h"), flip
 
 
 def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
     """Bilinear extension of the internal product, in the basis of ``f``.
 
-    A factor in h or e is used as given; any other is expanded in h or,
-    through omega, in e, whichever is shorter.  The margin rule multiplies
-    them, summing in h when both are in one basis and in e when not.  The
-    factors' terms are read as stored, ints where integral, so the sums stay
-    ints unless ``f`` or ``g`` has a non-integral coefficient; only a result
-    in the p basis divides, by ``z_rho``.
+    A factor in h or e is used as given; any other is expanded in h, or
+    through omega in e when its s terms have more rows than columns in total.
+    The margin rule multiplies them, summing in h when both are in one basis
+    and in e when not.  The factors' terms are read as stored, ints where
+    integral, so the sums stay ints unless ``f`` or ``g`` has a non-integral
+    coefficient; only a result in the p basis divides, by ``z_rho``.
     """
     if f.degree != g.degree:
         raise DegreeMismatchError(
             f"internal product needs equal degrees, got {f.degree} and {g.degree}"
         )
-    fx, f_flipped = _shorter_expansion(f)
-    gx, g_flipped = _shorter_expansion(g)
+    fx, f_flipped = _expansion(f)
+    gx, g_flipped = _expansion(g)
     acc: dict = {}
     for lam, a in fx.items():
         for mu, b in gx.items():
@@ -101,11 +96,11 @@ def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
 def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Multiplicity of the Schur function ``nu`` in ``s_lam * s_mu``; it is symmetric in all three.
 
-    The two shapes with the longest first rows are multiplied by the margin rule, both
-    expanded in h, when at most ``_MAX_MARGIN_TAIL`` cells lie below those rows.  Other
-    triples read three Murnaghan-Nakayama rows, ``(1/d!) sum over rho of |C_rho|
-    chi^lam(rho) chi^mu(rho) chi^nu(rho)``, up to degree ``_MAX_CHARACTER_DEGREE``, and
-    are refused above it.  Anything but a nonnegative integer is an inconsistency and raises.
+    The two shapes with the longest first rows are multiplied by :func:`kronecker` when at
+    most ``_MAX_MARGIN_TAIL`` cells lie below those rows.  Other triples read three
+    Murnaghan-Nakayama rows, ``(1/d!) sum over rho of |C_rho| chi^lam(rho) chi^mu(rho)
+    chi^nu(rho)``, which ``class_sizes`` refuses above the degree at which ``combinat``
+    stops listing partitions.  Anything but a nonnegative integer is an inconsistency and raises.
     """
     lam, mu, nu = map(Partition, (lam, mu, nu))
     if not (lam.degree == mu.degree == nu.degree):
@@ -113,13 +108,8 @@ def kronecker_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[in
     d = lam.degree
     a, b, c = sorted((lam, mu, nu), reverse=True)
     if 2 * d - sum(a[:1]) - sum(b[:1]) <= _MAX_MARGIN_TAIL:
-        f, g = (symfunc.convert(symfunc.basis_element("s", p), "h") for p in (a, b))
-        total, order = symfunc.convert(kronecker(f, g), "s").coeff(c), 1
-    elif d > _MAX_CHARACTER_DEGREE:
-        raise BudgetExceededError(
-            f"degree {d} exceeds the cap of {_MAX_CHARACTER_DEGREE} on character rows, and "
-            f"more than {_MAX_MARGIN_TAIL} cells lie below the first rows for the margin rule"
-        )
+        f, g = (symfunc.basis_element("s", p) for p in (a, b))
+        total, order = kronecker(f, g).coeff(c), 1
     else:
         rows = map(symfunc.specht_character, (lam, mu, nu))
         total = sum(z * x * y * w for z, x, y, w in zip(class_sizes(d), *rows))

@@ -19,7 +19,10 @@ each other and reports one line per degree and identity family.  Suites:
   elementary basis through the Kostka table and omega, against the
   conjugate-shape determinant.
 * ``all``: every suite above, plus the characteristic-map dictionary,
-  isometry, the character route to the internal product, and seeded random
+  isometry, the character route to the internal product against
+  ``kronecker_h`` and against ``kronecker`` of ``e_lam`` and ``h_mu`` (the
+  sign character times two permutation characters) and of ``s_lam`` and
+  ``s_mu`` (two rows of the brute-force character table), and seeded random
   spot checks of the place action.
 
 A suite is a generator of ``(check name, violations)`` pairs, one per check;
@@ -36,12 +39,13 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from operator import mul
 
 from . import grouporacle, symfunc
 from .combinat import count_ssyt, dominance_leq, enumerate_partitions
 from .contingency import decompose_permutation_tensor
 from .errors import BudgetExceededError, InternalConsistencyError
-from .kronecker import kronecker_h
+from .kronecker import kronecker, kronecker_h
 
 MAX_VERIFY_DEGREE = 8
 
@@ -160,6 +164,9 @@ def suite_characteristic(d: int, seed: int):
 
 def suite_kron_character(d: int, seed: int):
     for e in range(d + 1):
+        # The sign character (-1)**(e - len(rho)) times pi^lam is the character of e_lam.
+        sign = [(-1) ** (e - len(rho)) for rho in enumerate_partitions(e)]
+        irreducible = dict(zip(enumerate_partitions(e), grouporacle.character_table(e)))
         bad = []
         for lam, mu in _pairs(e):
             phi = grouporacle.permutation_character(lam)
@@ -169,6 +176,14 @@ def suite_kron_character(d: int, seed: int):
             structural = kronecker_h(lam, mu)
             if via_chars != structural:
                 bad.append((tuple(lam), tuple(mu)))
+            for kind, chi, a, b in (
+                ("sign", map(mul, sign, product), "e", "h"),
+                ("specht", map(mul, irreducible[lam], irreducible[mu]), "s", "s"),
+            ):
+                via_chars = symfunc.convert(symfunc.characteristic_map(e, tuple(chi)), a)
+                f, g = symfunc.basis_element(a, lam), symfunc.basis_element(b, mu)
+                if via_chars != kronecker(f, g):
+                    bad.append((kind, tuple(lam), tuple(mu)))
         yield f"kron-character d={e}: character route == margin-rule route", bad
 
 

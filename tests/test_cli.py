@@ -428,6 +428,26 @@ def test_permutation_character_budget(capsys):
     assert (code, out) == (0, "s[9]\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["partitions", "--d", "90"],
+    ["compositions", "--n", "12", "--d", "40"],
+    ["character", "--kind", "perm", "--lambda", "50"],
+    ["character", "--kind", "specht", "--lambda", "12,10,8,6,4,2"],
+    ["ch", "--kind", "perm", "--lambda", "50"],
+    ["ch", "--kind", "specht", "--lambda", "41", "--basis", "s"],
+    ["convert", "--expr", "s[41]", "--basis", "p"],
+    ["kron", "--expr", "s[41] # s[41]", "--basis", "p"],
+])
+def test_listing_caps_refuse_in_a_child_process(argv):
+    # More than 8! partitions or compositions are refused before any is listed.
+    proc = subprocess.run(
+        [sys.executable, "-m", "symkron.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "exceed the listing cap of 40320" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_matrix_listing_budget(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("margin matrix built")

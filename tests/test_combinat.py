@@ -23,7 +23,7 @@ from symkron.combinat import (
     parse_parts,
     sort_to_partition,
 )
-from symkron.errors import DegreeMismatchError
+from symkron.errors import BudgetExceededError, DegreeMismatchError
 
 from oracles import brute_compositions, brute_conjugate, brute_partitions, brute_ssyt
 
@@ -76,6 +76,20 @@ def test_compositions_of_many_parts_keep_no_stack():
     comps = enumerate_compositions(1500, 1)
     assert len(comps) == 1500
     assert comps[0] == (1,) + (0,) * 1499 and comps[-1] == (0,) * 1499 + (1,)
+
+
+def test_listings_above_eight_factorial_are_refused_before_listing():
+    # C(d + n - 1, n - 1) compositions: 2 parts of 40319 make exactly 8! of them.
+    assert len(enumerate_compositions(2, 40319)) == math.factorial(8)
+    for n, d, count in ((2, 40320, 40321), (12, 40, 47626016970)):
+        message = f"^{count} compositions exceed the listing cap of 40320$"
+        with pytest.raises(BudgetExceededError, match=message):
+            enumerate_compositions(n, d)
+    # p(40) = 37338 <= 8! < p(41) = 44583.
+    assert len(enumerate_partitions(40)) == 37338
+    for d in (41, 90):
+        with pytest.raises(BudgetExceededError, match=f"^the partitions of {d} exceed the listing cap"):
+            enumerate_partitions(d)
 
 
 def test_partition_enumeration():

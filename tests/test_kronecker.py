@@ -128,6 +128,45 @@ def test_factors_in_h_or_e_read_no_kostka_inverse(monkeypatch):
         assert kronecker(f, g) == expected
 
 
+def test_each_factor_not_in_h_or_e_is_expanded_once(monkeypatch):
+    # Either side is exact, so only the side the shapes choose is built: one
+    # conversion into h or e per factor given in m, p or s, none for h or e.
+    real = symfunc._convert_terms
+    targets = []
+
+    def recording(d, basis, terms, target):
+        if target in ("h", "e") and basis not in ("h", "e"):
+            targets.append(target)
+        return real(d, basis, terms, target)
+
+    monkeypatch.setattr(symfunc, "_convert_terms", recording)
+    for d in range(6):
+        elements = [basis_element(b, lam) for b in BASES for lam in enumerate_partitions(d)]
+        elements += [basis_element(b, (d,)) + basis_element(b, (1,) * d) for b in BASES if d > 1]
+        for f, g in itertools.product(elements, repeat=2):
+            targets.clear()
+            kronecker(f, g)
+            assert len(targets) == sum(x.basis not in ("h", "e") for x in (f, g))
+
+
+def test_long_first_rows_read_only_short_rim_hook_rows(monkeypatch):
+    # s_(49,1) has 2 terms in h; its e side is the rim-hook row of (2,1^48), about p(50) terms.
+    real = symfunc._s_in_h
+    shapes = []
+
+    def recording(lam):
+        shapes.append(lam)
+        return real(lam)
+
+    real.cache_clear()
+    monkeypatch.setattr(symfunc, "_s_in_h", recording)
+    hook = basis_element("s", (49, 1))
+    expected = SymFunc("s", 50, {(50,): 1, (49, 1): 1, (48, 2): 1, (48, 1, 1): 1})
+    assert kronecker(hook, hook) == expected
+    assert max(map(len, shapes)) <= 2
+    assert real.cache_info().currsize == len(set(shapes)) == 3
+
+
 def _all_h_product(f: SymFunc, g: SymFunc) -> SymFunc:
     """``f * g`` by the margin rule on the h expansions of both factors."""
     acc: dict = {}
@@ -140,7 +179,7 @@ def _all_h_product(f: SymFunc, g: SymFunc) -> SymFunc:
 
 def test_kronecker_matches_all_h_product_on_basis_elements():
     # Covers each omega parity: e_lam flips, h_lam never does, and s or m
-    # elements flip when their e expansion is the shorter one.
+    # elements flip when their s terms have more rows than columns in total.
     for d in range(7):
         elements = [basis_element(b, lam) for b in "mehs" for lam in enumerate_partitions(d)]
         for f, g in itertools.product(elements, repeat=2):
@@ -228,7 +267,7 @@ def test_kronecker_coefficients_match_character_route():
 def test_kronecker_coefficients_match_margin_rule(monkeypatch, tail):
     # Each route against kronecker(s_lam, s_mu): a tail of -1 sends every triple to the
     # character rows, which read no margin matrix, and 14 = 2 * 7 sends every one to the
-    # margin rule with both factors in h.
+    # margin rule on the two shapes with the longest first rows, which reads the symmetry.
     monkeypatch.setattr(kronecker_module, "_MAX_MARGIN_TAIL", tail)
     for d in range(8):
         parts = enumerate_partitions(d)

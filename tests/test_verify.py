@@ -253,6 +253,12 @@ def _omega():
     return symfunc, "_conjugate", lambda lam: (2, 2) if lam == (3, 1) else real(lam)
 
 
+def _kron_flip():
+    """No factor of ``kronecker`` reports its omega flip, so a product with one e factor is read in h."""
+    real = kronecker_module._expansion
+    return kronecker_module, "_expansion", lambda f: (real(f)[0], False)
+
+
 def _margin_class():
     """The first class of every margin state with rows (1, 1, 1, 1), one too high; walks of 1^d read them."""
     real = contingency._merge
@@ -268,23 +274,26 @@ def _margin_class():
     return contingency, "_merge", merge
 
 
-# Table-level mutations: each corrupts one table, not a wrapper, and names the
-# suites that must fail at every degree from 4 up to its top degree, and pass below.
+# Table-level mutations: each corrupts one table or one step of a route, not a
+# wrapper a check calls, and names the checks that must fail at every degree
+# from its first failing degree up to its top degree, and pass below.  A check
+# that is no suite of its own runs in `all`, where it must be the only failure.
 TABLE_MUTATIONS = {
-    "jt-sign": (_jt_sign, 6, ("jacobi-trudi",)),
-    "kostka-entry": (_kostka_entry, 6, ("kostka", "jacobi-trudi")),
-    "kostka-row": (_kostka_row, 6, ("orthonormality",)),
-    "m-column": (_m_column, 6, ("orthonormality",)),
-    "margin-class": (_margin_class, 5, ("monoidal",)),
-    "mn-sign": (_mn_sign, 6, ("kostka",)),
-    "omega": (_omega, 4, ("jacobi-trudi",)),
-    "rim-hook-row": (_rim_hook_row, 5, ("orthonormality", "jacobi-trudi")),
+    "jt-sign": (_jt_sign, 4, 6, ("jacobi-trudi",)),
+    "kostka-entry": (_kostka_entry, 4, 6, ("kostka", "jacobi-trudi")),
+    "kostka-row": (_kostka_row, 4, 6, ("orthonormality",)),
+    "kron-flip": (_kron_flip, 2, 4, ("kron-character",)),
+    "m-column": (_m_column, 4, 6, ("orthonormality",)),
+    "margin-class": (_margin_class, 4, 5, ("monoidal",)),
+    "mn-sign": (_mn_sign, 4, 6, ("kostka",)),
+    "omega": (_omega, 4, 4, ("jacobi-trudi",)),
+    "rim-hook-row": (_rim_hook_row, 4, 5, ("orthonormality", "jacobi-trudi")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_MUTATIONS))
 def test_corrupted_table_fails_its_checks(monkeypatch, case):
-    mutate, d, suites = TABLE_MUTATIONS[case]
+    mutate, first, d, checks = TABLE_MUTATIONS[case]
     # Fresh memos on both sides: the mutated run builds the corrupted tables,
     # and no later test reads them.
     clears = (
@@ -300,9 +309,10 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
         clear()
     monkeypatch.setattr(*mutate())
     try:
-        for suite in suites:
+        for check in checks:
+            suite = check if check in verify.SUITES else "all"
             failed = [c.name.split(":")[0] for c in verify.run_verify(suite, d) if not c.passed]
-            assert failed == [f"{suite} d={e}" for e in range(4, d + 1)]
+            assert failed == [f"{check} d={e}" for e in range(first, d + 1)]
     finally:
         monkeypatch.undo()
         for clear in clears:
@@ -341,8 +351,10 @@ def test_internal_consistency_failure_is_a_failed_check(capsys, monkeypatch):
     assert main(["verify", "--suite", "all", "--d", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("FAIL")]
+    # kron-character reads the same brute-force table, for its Schur products.
     assert failed == [
         "FAIL kostka: internal consistency [row of degree 2 is not a character]",
+        "FAIL kron-character: internal consistency [row of degree 2 is not a character]",
         f"FAIL all: {len(lines) - 1} checks",
     ]
     assert "PASS jacobi-trudi d=2: h determinant == conjugate e determinant" in lines
