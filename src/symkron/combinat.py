@@ -2,10 +2,10 @@
 
 A strip walk (:func:`_walk`) adds or removes one strip per entry of a size
 sequence: horizontal strips give tableau counts, and border strips
-Murnaghan-Nakayama characters.  The Kostka columns of
-:mod:`symkron.symfunc` read the same horizontal-strip lister, one part at a
-time, and its Kostka rows :func:`_removal_strips`, which lists the removals
-of every size from a shape at once.
+Murnaghan-Nakayama characters.  The Kostka columns of :mod:`symkron.symfunc`
+read the same horizontal-strip lister, one part at a time, and its Kostka
+rows :func:`_removal_strips`, every size at once.  Each walk step, Kostka
+column, conversion and ring product sums through :func:`_expand`.
 
 Conventions used across the package:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 from itertools import accumulate
 
@@ -229,10 +229,10 @@ def _walk(sizes: Iterable[tuple[int, ...]], strips, start: dict) -> Iterator[dic
     """The Schur expansion ``start`` after one step per entry, for each size sequence.
 
     A step of signed size ``k`` sends each shape to the ``(shape, sign)``
-    pairs of ``strips(shape, k)``, which both strip listers memoize.  A
-    sequence reuses the steps it shares with the one before, so the
-    partitions of ``d`` in canonical order cost one depth-first walk.  Only
-    read the yielded dicts.
+    pairs of ``strips(shape, k)``, which both strip listers memoize, summed
+    by :func:`_expand`.  A sequence reuses the steps it shares with the one
+    before, so the partitions of ``d`` in canonical order cost one
+    depth-first walk.  Only read the yielded dicts.
     """
     chain, path = [start], []  # chain[i + 1] is chain[i] after a step of size path[i]
     for seq in sizes:
@@ -240,14 +240,20 @@ def _walk(sizes: Iterable[tuple[int, ...]], strips, start: dict) -> Iterator[dic
             if i < len(path) and path[i] == k:
                 continue
             del chain[i + 1 :], path[i:]
-            out: dict = {}
-            for shape, c in chain[i].items():
-                if c:  # a zero sum takes no step
-                    for outer, sign in strips(shape, k):
-                        out[outer] = out.get(outer, 0) + sign * c
-            chain.append(out)
+            chain.append(_expand(chain[i], lambda shape: strips(shape, k)))
             path.append(k)
         yield chain[len(seq)]
+
+
+def _expand(terms: Mapping, image: Callable[..., Iterable[tuple]]) -> dict:
+    """Sum of ``c * x`` over nonzero terms ``c * lam`` and ``(nu, x)`` in ``image(lam)``."""
+    out: dict = {}
+    for lam, c in terms.items():
+        if not c:
+            continue
+        for nu, x in image(lam):
+            out[nu] = out.get(nu, 0) + c * x
+    return out
 
 
 @lru_cache(maxsize=None)

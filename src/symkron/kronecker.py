@@ -2,11 +2,14 @@
 
 On complete symmetric functions the product is structural: the product of
 ``h_lam`` and ``h_mu`` is the sum of ``h`` terms over the margin-matrix
-decomposition of the corresponding permutation-module tensor product.  A
-factor given in h or e is used as it is; any other is converted to s once and
-expanded by the rim-hook rows of ``symfunc._s_in_h`` in e if its s terms have
-more rows than columns in total, else in h.  The e expansion of ``f`` carries
-the h coefficients of ``omega(f)``, and since ``s_(1^d)`` acts as omega,
+decomposition of the corresponding permutation-module tensor product.  In
+the p basis the product is diagonal, ``p_rho * p_sigma = delta z_rho p_rho``
+(Macdonald I.7), so a product with a p factor reads the other factor's
+character at the p factor's cycle types only.  Otherwise a factor given in h
+or e is used as it is; any other is converted to s once and expanded by the
+rim-hook rows of ``symfunc._s_in_h`` in e if its s terms have more rows than
+columns in total, else in h.  The e expansion of ``f`` carries the h
+coefficients of ``omega(f)``, and since ``s_(1^d)`` acts as omega,
 ``omega(f) * g = omega(f * g) = f * omega(g)``.  So the margin rule sums the
 product in h when neither or both factors are in e, and in e when exactly one
 is.  The character route, ``symfunc.characteristic_map`` of pointwise
@@ -55,8 +58,8 @@ def kronecker_h(lam: Iterable[int], mu: Iterable[int]) -> symfunc.SymFunc:
 def _expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
     """``f`` in h or in e, and whether e was taken; a factor in either is taken as given.
 
-    Any other is converted to s once, so a p factor walks its characters once.
-    ``s_lam`` has at most ``len(lam)!`` terms in h and ``lam[0]!`` in e (Macdonald
+    Any other, in m or s (a product with a p factor never comes here), is converted to s
+    once.  ``s_lam`` has at most ``len(lam)!`` terms in h and ``lam[0]!`` in e (Macdonald
     I.3), so only the side with fewer rows in total over the s terms is built (h on a tie).
     """
     if f.basis in ("h", "e"):
@@ -69,17 +72,27 @@ def _expansion(f: symfunc.SymFunc) -> tuple[dict, bool]:
 def kronecker(f: symfunc.SymFunc, g: symfunc.SymFunc) -> symfunc.SymFunc:
     """Bilinear extension of the internal product, in the basis of ``f``.
 
-    A factor in h or e is used as given; any other is expanded in h, or
-    through omega in e when its s terms have more rows than columns in total.
-    The margin rule multiplies them, summing in h when both are in one basis
-    and in e when not.  The factors' terms are read as stored, ints where
-    integral, so the sums stay ints unless ``f`` or ``g`` has a non-integral
-    coefficient; only a result in the p basis divides, by ``z_rho``.
+    If ``f`` or ``g`` is in p, call it ``a`` and the other ``b``: ``a * b`` is
+    the sum of ``a_rho * chi_b(rho) * p_rho``, where ``chi_b`` is the class
+    function of ``b``'s s terms, read by one border-strip walk at ``a``'s cycle
+    types only, so no partition of the degree is listed; the p result is
+    converted to ``f``'s basis when ``f`` is not in p.  Otherwise a factor in
+    h or e is used as given; any other is expanded in h, or through omega in
+    e when its s terms have more rows than columns in total.  The margin rule
+    multiplies them, summing in h when both are in one basis and in e when
+    not.  The factors' terms are read as stored, ints where integral, so the
+    sums stay ints unless ``f`` or ``g`` has a non-integral coefficient.
     """
     if f.degree != g.degree:
         raise DegreeMismatchError(
             f"internal product needs equal degrees, got {f.degree} and {g.degree}"
         )
+    if "p" in (f.basis, g.basis):
+        a, b = (f, g) if f.basis == "p" else (g, f)
+        rhos = sorted(a.terms, reverse=True)
+        chi = symfunc._class_function(rhos, symfunc._convert_terms(b.degree, b.basis, b.terms, "s"))
+        acc = {rho: a.terms[rho] * x for rho, x in zip(rhos, chi)}
+        return symfunc.convert(symfunc.SymFunc("p", f.degree, acc), f.basis)
     fx, f_flipped = _expansion(f)
     gx, g_flipped = _expansion(g)
     acc: dict = {}

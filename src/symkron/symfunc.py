@@ -24,7 +24,11 @@ routed through the Schur basis, on strip walks of :mod:`symkron.combinat`:
 
 The outer product :func:`multiply` is Pieri's rule on the same walk: the s
 terms of one factor gain horizontal strips along the h terms of the other,
-unless the first factor is in h, where indices just concatenate.
+unless the first factor is in h, where indices just concatenate.  Every sum
+of ``c * image(lam)`` here is ``combinat._expand``.  :func:`_class_function`
+reads ``sum of c_lam * chi^lam`` at the cycle types it is given: ``s -> p``
+gives it every cycle type of the degree, and ``kronecker`` only those of its
+p factor.
 
 A character is a tuple of values in canonical cycle-type order, and
 :func:`characteristic_map` (ch) sends one to the p basis; the character route
@@ -46,15 +50,15 @@ entry is stored once complete and checked, and then only read.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import attrgetter
 
 from .combinat import (
-    Partition, _border_strips, _check_row, _horizontal_strips, _removal_strips, _shared, _walk,
-    class_sizes, conjugate, enumerate_partitions,
+    Partition, _border_strips, _check_row, _expand, _horizontal_strips, _removal_strips, _shared,
+    _walk, class_sizes, conjugate, enumerate_partitions,
 )
 from .errors import DegreeMismatchError, InternalConsistencyError
 
@@ -234,16 +238,16 @@ def build_kostka_table(d: int) -> KostkaTable:
     return KostkaTable(d)
 
 
-def _class_function(d: int, terms: Mapping) -> tuple[int, ...]:
-    """``sum of c_lam * chi^lam`` at each cycle type of ``d``: strips removed, read at ``()``."""
-    removals = [tuple(-k for k in rho) for rho in enumerate_partitions(d)]
+def _class_function(rhos: Iterable[tuple[int, ...]], terms: Mapping) -> tuple[int, ...]:
+    """``sum of c_lam * chi^lam`` at each cycle type ``rho``: strips removed, read at ``()``."""
+    removals = [tuple(-k for k in rho) for rho in rhos]
     return tuple(leaf.get((), 0) for leaf in _walk(removals, _border_strips, terms))
 
 
 def specht_character(lam: Iterable[int]) -> tuple[int, ...]:
     """Murnaghan-Nakayama character of a partition: one value per cycle type, canonical order."""
     lam = Partition(lam)
-    return _class_function(lam.degree, {lam: 1})
+    return _class_function(enumerate_partitions(lam.degree), {lam: 1})
 
 
 def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
@@ -261,17 +265,6 @@ def characteristic_map(d: int, chi: tuple[int, ...]) -> SymFunc:
     return SymFunc("p", d, terms)
 
 
-def _expand(terms: Mapping[Partition, int | Fraction], image: Callable[..., Mapping]) -> dict:
-    """Sum of ``c * image(lam)`` over the nonzero terms; zero sums are kept."""
-    out: dict = {}
-    for lam, c in terms.items():
-        if not c:
-            continue
-        for nu, x in image(lam).items():
-            out[nu] = out.get(nu, 0) + c * x
-    return out
-
-
 @lru_cache(maxsize=None)
 def _h_in_s(mu: tuple[int, ...]) -> dict[Partition, int]:
     """``h_mu`` in s, in canonical order, by Pieri's rule (Macdonald I.5): the Kostka column of ``mu``.
@@ -283,10 +276,7 @@ def _h_in_s(mu: tuple[int, ...]) -> dict[Partition, int]:
     """
     if not mu:
         return {Partition(): 1}
-    out: dict = {}
-    for lam, c in _h_in_s(mu[:-1]).items():
-        for nu, sign in _horizontal_strips(lam, mu[-1]):
-            out[nu] = out.get(nu, 0) + sign * c
+    out = _expand(_h_in_s(mu[:-1]), lambda lam: _horizontal_strips(lam, mu[-1]))
     entries = sorted(out.items(), reverse=True)
     if entries[-1:] != [(mu, 1)]:
         raise InternalConsistencyError("tableau-count matrix is not unitriangular")
@@ -425,21 +415,23 @@ def _convert_terms(
     mid = terms
     if basis == "p":
         rhos = sorted(terms, reverse=True)
-        mid = _expand(terms, dict(zip(rhos, _walk(rhos, _border_strips, {(): 1}))).__getitem__)
+        leaves = dict(zip(rhos, _walk(rhos, _border_strips, {(): 1})))
+        mid = _expand(terms, lambda rho: leaves[rho].items())
     elif basis != "s":
-        mid = _expand(terms, _m_in_s if basis == "m" else _h_in_s)
+        memo = _m_in_s if basis == "m" else _h_in_s
+        mid = _expand(terms, lambda lam: memo(lam).items())
         if basis == "e":
             mid = {_conjugate(lam): c for lam, c in mid.items()}
     if target == "p":
         # ch of the integer class function: the sum of c_lam chi^lam.
-        chi = _class_function(d, mid)
+        chi = _class_function(enumerate_partitions(d), mid)
         mid = characteristic_map(d, chi).terms
     elif target == "m":
-        mid = _expand(mid, lambda lam: _s_in_m(lam, lam[0] if lam else 0))
+        mid = _expand(mid, lambda lam: _s_in_m(lam, lam[0] if lam else 0).items())
     elif target != "s":
         if target == "e":
             mid = {_conjugate(lam): c for lam, c in mid.items()}
-        mid = _expand(mid, _s_in_h)
+        mid = _expand(mid, lambda lam: _s_in_h(lam).items())
     if den == 1:
         return _nonzero(mid)
     return {lam: Fraction(c, den) for lam, c in mid.items() if c}
@@ -467,19 +459,14 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """
     d = f.degree + g.degree
     gh = _convert_terms(g.degree, g.basis, g.terms, "h")
-    acc: dict = {}
     if f.basis == "h":
-        for lam, a in f.terms.items():
-            for mu, b in gh.items():
-                key = Partition(sorted(lam + mu, reverse=True))
-                acc[key] = acc.get(key, 0) + a * b
-        return SymFunc("h", d, acc)
+        def join(lam):
+            return ((Partition(sorted(lam + mu, reverse=True)), b) for mu, b in gh.items())
+        return SymFunc("h", d, _expand(f.terms, join))
     gammas = sorted(gh, reverse=True)
-    fs = _convert_terms(f.degree, f.basis, f.terms, "s")
-    for gamma, leaf in zip(gammas, _walk(gammas, _horizontal_strips, fs)):
-        b = gh[gamma]
-        for lam, a in leaf.items():
-            acc[lam] = acc.get(lam, 0) + a * b
+    # gh has no zero term, so _expand reads one leaf per gamma, in the walk's order.
+    leaves = _walk(gammas, _horizontal_strips, _convert_terms(f.degree, f.basis, f.terms, "s"))
+    acc = _expand({gamma: gh[gamma] for gamma in gammas}, lambda gamma: next(leaves).items())
     return SymFunc(f.basis, d, _convert_terms(d, "s", acc, f.basis))
 
 

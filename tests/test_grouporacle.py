@@ -442,6 +442,7 @@ def test_the_oracle_shares_no_table_with_the_production_route():
         "_s_in_h",
         "count_ssyt",
         "_walk",
+        "_expand",
         "_border_strips",
         "_horizontal_strips",
         "contingency",

@@ -10,7 +10,7 @@ try:
 except ImportError:  # only the properties below need it
     given = None
 
-from symkron import symfunc
+from symkron import combinat, symfunc
 from symkron.combinat import Partition, centralizer_order, conjugate, enumerate_partitions
 from symkron.contingency import decompose_permutation_tensor
 from symkron.errors import BudgetExceededError, DegreeMismatchError
@@ -130,7 +130,9 @@ def test_factors_in_h_or_e_read_no_kostka_inverse(monkeypatch):
 
 def test_each_factor_not_in_h_or_e_is_expanded_once(monkeypatch):
     # Either side is exact, so only the side the shapes choose is built: one
-    # conversion into h or e per factor given in m, p or s, none for h or e.
+    # conversion into h or e per factor given in m or s, none for h or e.  A
+    # product with a p factor reads characters and expands no factor; only its
+    # p result is converted, into f's basis.
     real = symfunc._convert_terms
     targets = []
 
@@ -146,7 +148,24 @@ def test_each_factor_not_in_h_or_e_is_expanded_once(monkeypatch):
         for f, g in itertools.product(elements, repeat=2):
             targets.clear()
             kronecker(f, g)
-            assert len(targets) == sum(x.basis not in ("h", "e") for x in (f, g))
+            if "p" in (f.basis, g.basis):
+                assert targets == ([f.basis] if f.basis in ("h", "e") else [])
+            else:
+                assert len(targets) == sum(x.basis in ("m", "s") for x in (f, g))
+
+
+def test_p_factor_lists_no_partition(monkeypatch):
+    # p_(41) * s_(41) = chi^(41)((41)) p_(41): one strip removed from one shape, at degree 41,
+    # where listing the cycle types is refused.
+    def refuse(d):
+        raise AssertionError(f"the partitions of {d} were listed")
+
+    monkeypatch.setattr(symfunc, "enumerate_partitions", refuse)
+    monkeypatch.setattr(combinat, "enumerate_partitions", refuse)
+    power, schur = basis_element("p", (41,)), basis_element("s", (41,))
+    assert kronecker(power, schur) == power
+    assert kronecker(schur, power) == convert(power, "s")
+    assert kronecker(power, basis_element("s", (40, 1))) == -power
 
 
 def test_long_first_rows_read_only_short_rim_hook_rows(monkeypatch):
@@ -184,6 +203,17 @@ def test_kronecker_matches_all_h_product_on_basis_elements():
         elements = [basis_element(b, lam) for b in "mehs" for lam in enumerate_partitions(d)]
         for f, g in itertools.product(elements, repeat=2):
             assert kronecker(f, g) == _all_h_product(f, g)
+
+
+def test_p_factors_by_characters_match_the_margin_rule():
+    for d in range(8):
+        parts = enumerate_partitions(d)
+        powers = [basis_element("p", rho) for rho in parts]
+        powers += [basis_element("p", (d,)) + basis_element("p", (1,) * d)] if d > 1 else []
+        elements = [basis_element(b, lam) for b in BASES for lam in parts]
+        for f, g in itertools.product(powers, elements):
+            assert kronecker(f, g) == _all_h_product(f, g)
+            assert kronecker(g, f) == _all_h_product(g, f)
 
 
 def test_sign_representation_acts_as_omega():

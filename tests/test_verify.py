@@ -259,6 +259,29 @@ def _kron_flip():
     return kronecker_module, "_expansion", lambda f: (real(f)[0], False)
 
 
+def _pieri_strip():
+    """Adding one box to (2, 1) loses (2, 2); Kostka columns that step through it follow, d >= 4."""
+    real = symfunc._horizontal_strips
+
+    def strips(shape, size):
+        out = real(shape, size)
+        return tuple(s for s in out if s[0] != (2, 2)) if (shape, size) == ((2, 1), 1) else out
+
+    return symfunc, "_horizontal_strips", strips
+
+
+def _perm_char():
+    """The fixed tuples of (2, 2), one too many at the class (2, 2); the d=4 character table reads them."""
+    real = grouporacle._perm_char
+    at = enumerate_partitions(4).index((2, 2))
+
+    def row(lam):
+        out = real(lam)
+        return out[:at] + (out[at] + 1,) + out[at + 1 :] if lam == (2, 2) else out
+
+    return grouporacle, "_perm_char", row
+
+
 def _margin_class():
     """The first class of every margin state with rows (1, 1, 1, 1), one too high; walks of 1^d read them."""
     real = contingency._merge
@@ -278,6 +301,8 @@ def _margin_class():
 # wrapper a check calls, and names the checks that must fail at every degree
 # from its first failing degree up to its top degree, and pass below.  A check
 # that is no suite of its own runs in `all`, where it must be the only failure.
+# A check named "<suite>: internal consistency" is an identity the suite asserts
+# itself: it breaks at the first failing degree, and the suite stops there.
 TABLE_MUTATIONS = {
     "jt-sign": (_jt_sign, 4, 6, ("jacobi-trudi",)),
     "kostka-entry": (_kostka_entry, 4, 6, ("kostka", "jacobi-trudi")),
@@ -287,6 +312,8 @@ TABLE_MUTATIONS = {
     "margin-class": (_margin_class, 4, 5, ("monoidal",)),
     "mn-sign": (_mn_sign, 4, 6, ("kostka",)),
     "omega": (_omega, 4, 4, ("jacobi-trudi",)),
+    "perm-char": (_perm_char, 4, 5, ("kostka: internal consistency",)),
+    "pieri-strip": (_pieri_strip, 4, 6, ("kostka", "jacobi-trudi")),
     "rim-hook-row": (_rim_hook_row, 4, 5, ("orthonormality", "jacobi-trudi")),
 }
 
@@ -302,6 +329,7 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
         symfunc._s_in_h.cache_clear,
         symfunc._s_in_m.cache_clear,
         grouporacle._det_expansion.cache_clear,
+        grouporacle.character_table.cache_clear,
         contingency._CLASSES.clear,
         kronecker_module._kronecker_h.cache_clear,
     )
@@ -310,9 +338,16 @@ def test_corrupted_table_fails_its_checks(monkeypatch, case):
     monkeypatch.setattr(*mutate())
     try:
         for check in checks:
-            suite = check if check in verify.SUITES else "all"
-            failed = [c.name.split(":")[0] for c in verify.run_verify(suite, d) if not c.passed]
-            assert failed == [f"{check} d={e}" for e in range(first, d + 1)]
+            name, _, broken = check.partition(": ")
+            suite = name if name in verify.SUITES else "all"
+            results = verify.run_verify(suite, d)
+            failed = [c.name for c in results if not c.passed]
+            if broken:
+                assert failed == [check]
+                assert results[-2].name.startswith(f"{name} d={first - 1}:")
+            else:
+                expected = [f"{check} d={e}" for e in range(first, d + 1)]
+                assert [n.split(":")[0] for n in failed] == expected
     finally:
         monkeypatch.undo()
         for clear in clears:
